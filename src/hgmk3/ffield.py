@@ -9,8 +9,8 @@ are reproducible bit for bit.
 
 For bulk counting loops the module also exposes a vectorised "code" view:
 an element is the integer c0 + c1*p + ... + c_{n-1}*p^(n-1) of its polynomial
-coordinates, and numpy arrays of codes are combined through the exp/dlog
-tables.
+coordinates.  Prime-field codes are combined as integers mod p; extension-field
+codes through the exp/dlog/zech tables, so no loop runs over the n digits.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def _least_irreducible(p, n):
         return [0, 1]  # x, i.e. the identity quotient F_p[x]/(x) ~ F_p
     from itertools import product
 
-    for tail in product(range(p), repeat=n):
+    # c0 = 0 leaves the factor x, so the search starts at c0 = 1
+    for tail in product(range(1, p), *[range(p)] * (n - 1)):
         coeffs = list(tail) + [1]
         if _is_irreducible(coeffs, p):
             return coeffs
@@ -189,12 +190,6 @@ class FieldSpec:
             out.append(c)
         return _poly_trim(out)
 
-    def _poly_to_code(self, poly):
-        code = 0
-        for c in reversed(poly):
-            code = code * self.p + c
-        return code
-
     def _generates(self, code):
         if not 1 <= code < self.q:
             return False
@@ -213,21 +208,33 @@ class FieldSpec:
 
     def _build_tables(self):
         p, n, q = self.p, self.n, self.q
-        exp = np.empty(q - 1, dtype=np.int32)
+        N = q - 1
+        # Blocked powers g^(jB + i) = g^(jB) * g^i: `rows` holds the coefficient
+        # vectors of g^0 .. g^(B-1), built by doubling (B a power of two, B^2 >= N),
+        # and `step` ends as the matrix of multiplication by g^B.
         gpoly = self._code_to_poly(self.generator)
-        cur = [1]
-        for k in range(q - 1):
-            exp[k] = self._poly_to_code(cur)
-            cur = _poly_mul_mod(cur, gpoly, self.modulus, p)
+        step = np.zeros((n, n), dtype=np.int64)
+        for j in range(n):  # row j: coefficients of x^j * g
+            row = _poly_mul_mod([0] * j + [1], gpoly, self.modulus, p)
+            step[j, : len(row)] = row
+        rows = np.eye(1, n, dtype=np.int64)  # the coefficients of g^0 = 1
+        while len(rows) ** 2 < N:
+            rows = np.concatenate([rows, rows @ step % p])
+            step = step @ step % p
+        place = p ** np.arange(n, dtype=np.int64)
+        exp = np.empty(N, dtype=np.int32)
+        for start in range(0, N, len(rows)):
+            exp[start : start + len(rows)] = rows[: N - start] @ place
+            rows = rows @ step % p
         dlog = np.full(q, -1, dtype=np.int32)
-        dlog[exp] = np.arange(q - 1, dtype=np.int32)
+        dlog[exp] = np.arange(N, dtype=np.int32)
         self.exp = exp
         self.dlog = dlog
-        # zech successor table: zech[k] = dlog(g^k + 1)
-        succ = self.add_codes(exp, np.int32(1))
-        self.zech = dlog[succ]
-        # absolute trace via F_p-linearity on the power basis
-        basis_traces = []
+        # zech[k] = dlog(g^k + 1); adding 1 changes only the constant digit of a code
+        self.zech = dlog[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
+        # absolute trace, F_p-linear on the power basis: extend the table over
+        # codes [0, p^j) to [0, p^(j+1)) with the trace of x^j
+        trace = np.zeros(1, dtype=np.int64)
         for j in range(n):
             acc = [0] * n
             cur = _poly_rem([0] * j + [1], self.modulus, p)
@@ -237,71 +244,53 @@ class FieldSpec:
                 cur = _poly_pow_mod(cur, p, self.modulus, p)
             if any(acc[1:]):
                 raise FieldConstructionError("trace of basis element not in F_p")
-            basis_traces.append(acc[0])
-        codes = np.arange(q, dtype=np.int64)
-        tr = np.zeros(q, dtype=np.int64)
-        for j in range(n):
-            digit = (codes // p**j) % p
-            tr += digit * basis_traces[j]
-        self.trace = (tr % p).astype(np.int32)
+            trace = ((np.arange(p, dtype=np.int64)[:, None] * acc[0] + trace) % p).ravel()
+        self.trace = trace.astype(np.int32)
 
     # -- vectorised code arithmetic ------------------------------------------
+    # Prime-field codes are integers mod p.  Extension fields go through the
+    # exponent domain: a * b adds exponents, a + b = a * (1 + b/a) is one zech gather.
+
+    def _exp_codes(self, k, zero):
+        """Codes of g^k, and 0 where `zero` holds; a 0-d result is a numpy scalar."""
+        return np.where(zero, 0, self.exp[k % (self.q - 1)]).astype(np.int32)[()]
 
     def add_codes(self, a, b):
         if self.n == 1:
             return ((np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p).astype(np.int32)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for j in range(self.n):
-            pj = self.p**j
-            dj = ((a // pj) + (b // pj)) % self.p
-            out += dj * pj
-        return out.astype(np.int32)
+        a = np.asarray(a, dtype=np.int32)
+        b = np.asarray(b, dtype=np.int32)
+        ka = self.dlog[a].astype(np.int64)
+        k = self.zech[(self.dlog[b] - ka) % (self.q - 1)]  # dlog(1 + b/a)
+        return np.where(a == 0, b, np.where(b == 0, a, self._exp_codes(ka + k, k < 0)))[()]
 
     def neg_codes(self, a):
         if self.n == 1:
             return ((-np.asarray(a, dtype=np.int64)) % self.p).astype(np.int32)
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        for j in range(self.n):
-            pj = self.p**j
-            dj = (-(a // pj)) % self.p
-            out += dj * pj
-        return out.astype(np.int32)
+        a = np.asarray(a, dtype=np.int32)
+        return self._exp_codes(self.dlog[a] + (self.q - 1) // 2, a == 0)
 
     def sub_codes(self, a, b):
         return self.add_codes(a, self.neg_codes(np.asarray(b, dtype=np.int32)))
 
     def mul_codes(self, a, b):
+        if self.n == 1:
+            return ((np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p).astype(np.int32)
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
-        ka = self.dlog[a].astype(np.int64)
-        kb = self.dlog[b].astype(np.int64)
-        out = self.exp[(ka + kb) % (self.q - 1)].astype(np.int32)
-        zero = (a == 0) | (b == 0)
-        if np.ndim(out) == 0:
-            return np.int32(0) if zero else out
-        out[zero] = 0
-        return out
+        return self._exp_codes(self.dlog[a].astype(np.int64) + self.dlog[b], (a == 0) | (b == 0))
 
     def inv_codes(self, a):
         a = np.asarray(a, dtype=np.int32)
         if np.any(a == 0):
             raise DomainError("inverse of zero")
-        return self.exp[(-self.dlog[a].astype(np.int64)) % (self.q - 1)].astype(np.int32)
+        return self._exp_codes(-self.dlog[a].astype(np.int64), False)
 
     def pow_codes(self, a, e):
         a = np.asarray(a, dtype=np.int32)
-        zero = a == 0
-        if e <= 0 and np.any(zero):
+        if e <= 0 and np.any(a == 0):
             raise DomainError("0^e with e <= 0")
-        k = self.dlog[a].astype(np.int64)
-        out = self.exp[(k * e) % (self.q - 1)].astype(np.int32)
-        if np.ndim(out) == 0:
-            return np.int32(0) if zero else out
-        out[zero] = 0
-        return out
+        return self._exp_codes(self.dlog[a].astype(np.int64) * e, a == 0)
 
     def chi_codes(self, a):
         """Quadratic character on codes: 0 at 0, else (-1)^dlog."""
@@ -335,7 +324,7 @@ class FieldSpec:
     def from_coeffs(self, coeffs):
         if len(coeffs) > self.n:
             raise DomainError("coefficient list longer than the extension degree")
-        return self.from_code(self._poly_to_code([c % self.p for c in coeffs]))
+        return self.from_code(sum((c % self.p) * self.p**i for i, c in enumerate(coeffs)))
 
     def from_rational(self, r):
         r = Fraction(r)
@@ -417,10 +406,7 @@ class FqElem:
     def __neg__(self):
         if self.e is None:
             return self
-        f = self.field
-        if f.p == 2:  # pragma: no cover - p=2 excluded at construction
-            return self
-        return FqElem(f, self.e + (f.q - 1) // 2)
+        return FqElem(self.field, self.e + (self.field.q - 1) // 2)
 
     def __sub__(self, other):
         return self + (-_coerce(self.field, other))

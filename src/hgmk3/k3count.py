@@ -16,12 +16,15 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsum import get_character_system
-from .ffield import FieldSpec, FqElem, ReductionError, sqrt
+from .ffield import FieldSpec, FqElem, ReductionError, dlog, quadratic_character, sqrt
 from .hyperg import hg_H2, hg_H3
 
 RESIDUAL_LIMIT = 1e-3
+# Cells per block of rows in a counting grid: int64 temporaries stay near 8 MB.
+BLOCK_CELLS = 1 << 20
 
 
 class BadReductionError(ReductionError):
@@ -68,13 +71,7 @@ class CheckReport:
 
 def delta_if_square(field, value, tested):
     """The quadratic-residue indicator: value if `tested` is a nonzero square, else 0."""
-    if isinstance(tested, FqElem):
-        e = tested.e
-    else:
-        e = int(field.dlog[int(tested)])
-    if e is None or e < 0 or e % 2:
-        return 0
-    return value
+    return value if tested.e is not None and tested.e % 2 == 0 else 0
 
 
 def _reduce_inverse_argument(field, t):
@@ -95,63 +92,75 @@ def count_affine(field, t, mode="solved-z"):
     """
     a, _ = _reduce_inverse_argument(field, t)
     q = field.q
-    nz = np.arange(1, q, dtype=np.int32)  # nonzero codes
     if mode == "naive":
+        nz = np.arange(1, q, dtype=np.int32)  # nonzero codes
         total = 0
         x = nz[:, None]
         y = nz[None, :]
         xy = field.mul_codes(x, y)
-        s_xy = field.add_codes(x, y)
+        w_xy = field.sub_codes(np.int32(field.one().code), field.add_codes(x, y))
         for zc in range(1, q):
             z = np.int32(zc)
-            w = field.sub_codes(
-                field.sub_codes(np.int32(field.one().code), s_xy), z
-            )
-            lhs = field.mul_codes(field.mul_codes(xy, z), w)
+            lhs = field.mul_codes(field.mul_codes(xy, z), field.sub_codes(w_xy, z))
             total += int((lhs == a.code).sum())
         return total
     if mode != "solved-z":
         raise ValueError(f"unknown mode {mode!r}")
-    x = nz[:, None]
-    y = nz[None, :]
-    one = np.int32(field.one().code)
-    w = field.sub_codes(field.sub_codes(one, x), y)  # 1 - x - y
-    w2 = field.mul_codes(w, w)
-    inv_xy = field.inv_codes(field.mul_codes(x, y))
-    four_a = field.mul_codes(np.int32(field.from_int(4).code), np.int32(a.code))
-    disc = field.sub_codes(w2, field.mul_codes(inv_xy, four_a))
-    return int((q - 1) ** 2 + field.chi_codes(disc).sum())
+    # Exponent domain, Z the zech table: x = g^i, y = x g^d, x + y = g^(i + Z[d]),
+    # w = 1 - x - y = 1 + g^j = g^Z[j] with j = i + Z[d] + N/2, which runs over
+    # Z/N with i; c = -4a/(xy) = g^(K - 2i - d) and 2i = 2j - 2Z[d], so for d != N/2
+    # chi(w^2 + c) = (-1)^(K+d) chi(1 + g^(2(j + Z[j]) + d - K - 2Z[d])), or (-1)^(K+d) at w = 0.
+    N, H = q - 1, (q - 1) // 2
+    Z = field.zech.astype(np.int64)
+    K = dlog(field, field.from_int(-4) * a)
+    j = d = np.delete(np.arange(N), H)  # both skip N/2
+    sums = _chi_shift_sums(field, 2 * (j + Z[j]), np.ones_like(j), d - K - 2 * Z[d])
+    total = int((1 - 2 * ((K + d) & 1)) @ (sums + 1))
+    # the row d = N/2: x + y = 0, w = 1, chi(1 + c) with c = g^(K - 2i - N/2)
+    i = np.arange(N)
+    total += int(_chi_shift_sums(field, -2 * i, np.ones_like(i), np.array([K - H]))[0])
+    return N * N + total
 
 
-def _smooth_fibers_sum(field, inst):
-    """Sum of |E_s(F_q)| over s in F_q away from {0, +-1, s0 with s0^2 = t/(t-1)}."""
+def _chi_shift_sums(field, cols, weights, shifts):
+    """For each s in `shifts`: sum_k weights[k] chi(1 + g^(cols[k] + s)), exactly.
+
+    A circular correlation: the columns are binned by exponent mod q-1, and the
+    row for shift s is the window s .. s+q-2 of the doubled chi(1 + g^m) sequence
+    applied to the bins, BLOCK_CELLS cells at a time.
+    """
+    N = field.q - 1
+    z = field.zech.astype(np.int64)
+    chi = np.where(z < 0, 0, 1 - 2 * (z & 1))  # chi(1 + g^m): 1 + g^(N/2) = 0
+    windows = sliding_window_view(np.concatenate([chi, chi]), N)
+    bins = np.zeros(N, dtype=np.int64)
+    np.add.at(bins, cols % N, weights)
+    out = np.empty(len(shifts), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // N)
+    for s in range(0, len(shifts), step):
+        out[s : s + step] = windows[shifts[s : s + step] % N] @ bins
+    return out
+
+
+def _smooth_fibers_sum(field, t, r):
+    """Sum of |E_s(F_q)| over s in F_q away from 0, +-1 and +-r (r^2 = t/(t-1), or None)."""
     q = field.q
-    one = field.one()
-    t = inst.t_mod
-    ratio = t / (t - one)  # t/(t-1); defined since t != 1
-    excluded = {field.zero().code, one.code, (-one).code}
-    r = sqrt(field, ratio)
-    if r is not None and not r.is_zero:
-        excluded |= {r.code, (-r).code}
-    s_codes = np.array([c for c in range(q) if c not in excluded], dtype=np.int32)
-    # a2(s) = (s^2-1)^2 / 4, a4(s) = s^2 (s^2-1)^3 / (64 t)
-    s2 = field.mul_codes(s_codes, s_codes)
-    s2m1 = field.sub_codes(s2, np.int32(one.code))
-    inv4 = np.int32((one / field.from_int(4)).code)
-    a2 = field.mul_codes(field.mul_codes(s2m1, s2m1), inv4)
-    c64t = np.int32((one / (field.from_int(64) * t)).code)
-    a4 = field.mul_codes(
-        field.mul_codes(s2, field.mul_codes(field.mul_codes(s2m1, s2m1), s2m1)), c64t
-    )
-    x = np.arange(q, dtype=np.int32)[:, None]
-    fx = field.mul_codes(
-        field.add_codes(
-            field.mul_codes(field.add_codes(x, a2[None, :]), x), a4[None, :]
-        ),
-        x,
-    )
-    chi_total = int(field.chi_codes(fx).sum())
-    return len(s_codes) * (q + 1) + chi_total, len(s_codes)
+    N, H = q - 1, (q - 1) // 2
+    Z = field.zech.astype(np.int64)
+    excluded = {0, H} if r is None else {0, H, r.e, (r.e + H) % N}  # s = +-1, +-r
+    sigma = np.setdiff1d(np.arange(N), sorted(excluded))  # s = g^sigma; s = 0 is excluded
+    # s^2 - 1 = g^mu; a2(s) = (s^2-1)^2 / 4 = g^alpha, a4(s) = s^2 (s^2-1)^3 / (64t) = g^beta
+    mu = H + Z[(2 * sigma + H) % N]
+    alpha = 2 * mu - dlog(field, field.from_int(4))
+    beta = 2 * sigma + 3 * mu - dlog(field, field.from_int(64) * t)
+    # x = g^(alpha + k) (x = 0 adds chi(0) = 0): x + a2 = g^(alpha + Z[k]) and
+    # x^2 + a2 x + a4 = g^beta (1 + g^(k + Z[k] + 2 alpha - beta)), or a4 at k = N/2;
+    # with chi(x) = (-1)^(alpha + k), sum_x chi(x^3 + a2 x^2 + a4 x) is (-1)^(alpha + beta)
+    # (sum_{k != N/2} (-1)^k chi(1 + g^(k + Z[k] + 2 alpha - beta)) + (-1)^(N/2)).
+    k = np.delete(np.arange(N), H)
+    sums = _chi_shift_sums(field, k + Z[k], 1 - 2 * (k & 1), 2 * alpha - beta)
+    chi_total = int((1 - 2 * ((alpha + beta) & 1)) @ (sums + (1 - 2 * (H & 1))))
+    return len(sigma) * (q + 1) + chi_total, len(sigma)
 
 
 def count_elliptic_surface(field, t):
@@ -165,7 +174,9 @@ def count_elliptic_surface(field, t):
         )
     q = field.q
     one = field.one()
-    smooth, n_smooth = _smooth_fibers_sum(field, inst)
+    # nodal fibers at s = +-r, r^2 = t/(t-1) (nonzero since t != 0)
+    r = sqrt(field, inst.t_mod / (inst.t_mod - one))
+    smooth, n_smooth = _smooth_fibers_sum(field, inst.t_mod, r)
     breakdown = {
         "smooth": smooth,
         "n_smooth_fibers": n_smooth,
@@ -174,10 +185,7 @@ def count_elliptic_surface(field, t):
         "s=0": 4 * q,
     }
     total = smooth + 2 * (8 * q + 1) + 4 * q
-    # nodal fibers at s0^2 = t/(t-1)
-    ratio = inst.t_mod / (inst.t_mod - one)
-    r = sqrt(field, ratio)
-    if r is not None and not r.is_zero:
+    if r is not None:
         nodal = q + 2 + delta_if_square(field, -2, field.from_int(-2))
         breakdown["nodal_pair"] = 2 * nodal
         total += 2 * nodal
@@ -379,13 +387,17 @@ def delta_correction(field, t):
 
 def count_quadric(field, t):
     """N(1 = X^2 + t Y^2) by direct enumeration (oracle for q - chi(-t))."""
-    if isinstance(t, FqElem):
-        tcode = np.int32(t.code)
-    else:
-        tcode = np.int32(field.from_rational(Fraction(t)).code)
-    x = np.arange(field.q, dtype=np.int32)[:, None]
-    y = np.arange(field.q, dtype=np.int32)[None, :]
-    lhs = field.add_codes(
-        field.mul_codes(x, x), field.mul_codes(tcode, field.mul_codes(y, y))
-    )
-    return int((lhs == field.one().code).sum())
+    if not isinstance(t, FqElem):
+        t = field.from_rational(Fraction(t))
+    if t.is_zero:
+        return 2 * field.q  # X = +-1, Y free
+    N = field.q - 1
+    i = np.arange(N)
+    # X = g^i, Y = X g^d: X^2 + t Y^2 = g^(2i) (1 + g^(e + 2d)) = g^(2i + Z[e + 2d])
+    zs = field.zech.astype(np.int64)[(t.e + 2 * i) % N]
+    count = 3 + quadratic_character(field, t)  # axes: (+-1, 0), and (0, Y) with Y^2 = 1/t
+    step = max(1, BLOCK_CELLS // N)
+    for s in range(0, N, step):
+        z = zs[s : s + step, None]
+        count += int(((z >= 0) & ((2 * i + z) % N == 0)).sum())
+    return count

@@ -1,5 +1,6 @@
 """Curve counting: hand-enumeration oracles, E1/E2, Hasse, twists, extensions."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +37,27 @@ def test_count_examples():
     assert count_points(curve(f5, 0, -1, 0)) == 8 == brute_count(5, 0, -1, 0)
     f7 = field_new(7)
     assert count_points(curve(f7, 0, 0, 1)) == 12 == brute_count(7, 0, 0, 1)
+
+
+def scalar_count(curve):
+    """Independent oracle on any F_q: pair every x with the y whose square is f(x)."""
+    f = curve.field
+    squares = Counter(y * y for y in f.elements())
+    return 1 + sum(squares[x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6] for x in f.elements())
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (7, 3)])
+def test_count_matches_scalar_enumeration_on_extension_fields(p, n):
+    f = field_new(p, n)
+    for t in (F(2), F(3), F(5, 2), F(-1), F(7), F(81, 256), F(-9, 16), F(10)):
+        if t.numerator % p == 0 or t.denominator % p == 0:
+            continue
+        tm = f.from_rational(t)
+        # the fiber at infinity of the K3 model, and a curve with a2 = 0, a6 != 0
+        for c in (WeierstrassCurve(f.one() / 4, f.one() / (64 * tm), f.zero(), f),
+                  WeierstrassCurve(f.zero(), tm, f.one(), f)):
+            if not c.is_singular():
+                assert count_points(c) == scalar_count(c), (f.q, t, c)
 
 
 def test_trace_examples():

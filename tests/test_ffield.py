@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmk3.ffield import (
     DomainError,
     FieldConstructionError,
     ReductionError,
+    _poly_mul_mod,
+    _poly_trim,
     dlog,
     field_new,
     is_square,
@@ -168,16 +172,56 @@ def test_element_arithmetic_roundtrips_both_views():
     assert (a / b) * b == a
 
 
-def test_vectorised_codes_match_scalar_ops():
-    f = field_new(7, 2)
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, f.q, size=200).astype(np.int32)
-    b = rng.integers(0, f.q, size=200).astype(np.int32)
-    for i in range(200):
-        xa, xb = f.from_code(int(a[i])), f.from_code(int(b[i]))
-        assert int(f.add_codes(a, b)[i]) == (xa + xb).code
-        assert int(f.mul_codes(a, b)[i]) == (xa * xb).code
-        assert int(f.sub_codes(a, b)[i]) == (xa - xb).code
+CODE_FIELDS = [field_new(13), field_new(7, 2), field_new(5, 3), field_new(3, 5)]
+
+
+@given(st.sampled_from(CODE_FIELDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vectorised_codes_match_scalar_ops(f, data):
+    code = st.integers(0, f.q - 1)
+    pairs = data.draw(st.lists(st.tuples(code, code), max_size=40)) + [(0, 0), (0, 1), (1, 0)]
+    a = np.array([x for x, _ in pairs], dtype=np.int32)
+    b = np.array([y for _, y in pairs], dtype=np.int32)
+    ops = {"add": (f.add_codes, lambda x, y: x + y), "sub": (f.sub_codes, lambda x, y: x - y),
+           "mul": (f.mul_codes, lambda x, y: x * y)}
+    for name, (vec, scalar) in ops.items():
+        expect = [scalar(f.from_code(x), f.from_code(y)).code for x, y in pairs]
+        assert vec(a, b).tolist() == expect, name
+        assert [int(vec(np.int32(x), np.int32(y))) for x, y in pairs] == expect, name
+    assert f.neg_codes(a).tolist() == [(-f.from_code(x)).code for x in a]
+
+
+def scalar_tables(f):
+    """exp, dlog, zech and trace by stepping the polynomial g^k one multiplication at a time."""
+    p, n, q = f.p, f.n, f.q
+    padded = lambda poly: list(poly) + [0] * (n - len(poly))
+    code = lambda poly: sum(c * p**i for i, c in enumerate(poly))
+    g = padded(_poly_trim([(f.generator // p**i) % p for i in range(n)]))
+    powers, cur = [], [1]
+    for _ in range(q - 1):
+        powers.append(padded(cur))
+        cur = _poly_mul_mod(cur, g, f.modulus, p)
+    exp = [code(v) for v in powers]
+    dlog = {c: k for k, c in enumerate(exp)}
+    zech = [dlog.get(code([(v[0] + 1) % p] + v[1:]), -1) for v in powers]
+    trace = {0: 0}
+    for k, c in enumerate(exp):  # Tr(g^k) = sum_i g^(k p^i), which lies in F_p
+        tr = [sum(col) % p for col in zip(*(powers[k * p**i % (q - 1)] for i in range(n)))]
+        assert tr[1:] == [0] * (n - 1)
+        trace[c] = tr[0]
+    return exp, [dlog.get(c, -1) for c in range(q)], zech, [trace[c] for c in range(q)]
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 3), (3, 5), (3, 7)])
+def test_tables_match_scalar_reference(p, n):
+    f = field_new(p, n)
+    exp, dlog_table, zech, trace = scalar_tables(f)
+    assert f.exp.tolist() == exp
+    assert f.dlog.tolist() == dlog_table
+    assert f.zech.tolist() == zech
+    assert f.trace.tolist() == trace
+    assert f.zech[(f.q - 1) // 2] == -1  # 1 + g^((q-1)/2) = 1 - 1 = 0
+    assert {a.dtype for a in (f.exp, f.dlog, f.zech, f.trace)} == {np.dtype(np.int32)}
 
 
 def test_rational_reduction():

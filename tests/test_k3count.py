@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgmk3.ffield import field_new
+from hgmk3.ffield import field_new, quadratic_character
 from hgmk3.k3count import (
     BadReductionError,
     count_affine,
@@ -47,6 +47,31 @@ def test_affine_modes_agree():
             if t.numerator % f.p == 0 or t.denominator % f.p == 0:
                 continue
             assert count_affine(f, t, "naive") == count_affine(f, t, "solved-z"), (q, n, t)
+
+
+README_T = (F(2), F(3), F(5, 2), F(-1), F(7), F(81, 256), F(-9, 16), F(10))
+EXTENSION_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (7, 3)]
+
+
+def defined_t(f):
+    """The README t values whose reduction mod p is defined and nonzero."""
+    return [t for t in README_T if t.numerator % f.p and t.denominator % f.p]
+
+
+@pytest.mark.parametrize("p,n", EXTENSION_FIELDS)
+def test_solved_z_matches_naive_on_extension_fields(p, n):
+    f = field_new(p, n)
+    # the naive triple loop costs about 4 s per t on F_343, so one t there
+    for t in defined_t(f) if f.q < 343 else [F(2)]:
+        assert count_affine(f, t) == count_affine(f, t, "naive"), (f.q, t)
+
+
+@pytest.mark.parametrize("p,n", EXTENSION_FIELDS)
+def test_quadric_formula_on_extension_fields(p, n):
+    f = field_new(p, n)
+    for t in defined_t(f):
+        tm = f.from_rational(t)
+        assert count_quadric(f, t) == f.q - quadratic_character(f, -tm), (f.q, t)
 
 
 def test_affine_bad_reduction_rejected():
