@@ -5,10 +5,11 @@ psi_q(x) = zeta_p^Tr(x), and tabulates
 
     g(m) = sum_{x != 0} omega^m(x) psi_q(x),   m in [0, q-2],
 
-which is a length-(q-1) DFT of the sequence zeta_p^Tr(g^k).  g(0) is stored as
-the exact value -1.  Sums are floating point with explicit residual tracking;
-exactness downstream is recovered by integer rounding plus independent
-point-count oracles.
+which is a length-(q-1) DFT of the sequence zeta_p^Tr(g^k), evaluated by one
+53-bit FFT.  g(0) is stored as the exact value -1.  Every table is certified
+a posteriori: max | |g(m)|^2 - q | must stay within 1e-6 sqrt(q), or the build
+raises PrecisionError.  Exactness downstream is recovered by integer rounding
+plus independent point-count oracles.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ import numpy as np
 
 from .ffield import DomainError, FieldSpec, FqElem
 
-AUTO_HIGHPREC_Q = 10**4  # beyond this, 53-bit accumulation is not trusted
-
 
 class PrecisionError(ArithmeticError):
-    """Raised when the Gauss table misses its |g(m)|^2 = q certification."""
+    """Raised when a 53-bit value misses its certification (table residual or rounding)."""
 
 
-def tolerance(q, precision):
+def tolerance(q):
     """Permitted max deviation of |g(m)|^2 from q."""
-    if precision <= 53:
-        return 1e-6 * math.sqrt(q)
-    return math.sqrt(q) * 2.0 ** (24 - precision)
+    return 1e-6 * math.sqrt(q)
+
+
+def _check_precision(precision):
+    if precision != 53:
+        raise ValueError(f"only 53-bit Gauss tables exist; got precision={precision!r}")
 
 
 class CharacterSystem:
@@ -38,49 +40,29 @@ class CharacterSystem:
 
     Attributes:
         field: the underlying FieldSpec.
-        precision: working precision in bits (53 = numpy double).
+        precision: working precision in bits; always 53 (numpy double).
         gauss: complex array of g(m), m in [0, q-2]; gauss[0] == -1 exactly.
         residual: max over m != 0 of | |g(m)|^2 - q |.
         twist: code of the element a defining psi(x) = psi_q(a x) (1 = canonical).
     """
 
-    def __init__(self, field: FieldSpec, precision=None, twist=1):
-        if precision is None:
-            precision = 53 if field.q <= AUTO_HIGHPREC_Q else 128
-        if precision < 53:
-            raise ValueError("precision must be >= 53 bits")
+    def __init__(self, field: FieldSpec, precision=53, twist=1):
+        _check_precision(precision)
         self.field = field
-        self.precision = precision
+        self.precision = 53
         self.twist = int(twist)
         if not 1 <= self.twist < field.q:
             raise DomainError("additive-character twist must be a nonzero element code")
         q = field.q
-        self.gauss_mp = None
-        if precision == 53:
-            self._zeta = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
-            self.gauss = self._build_double()
-            dev = np.abs(np.abs(self.gauss) ** 2 - q)
-            dev[0] = 0.0
-            self.residual = float(dev.max())
-        else:
-            self._zeta = None
-            self.gauss_mp = self._build_mp()
-            import mpmath as mp
-
-            with mp.workprec(precision):
-                self.residual = float(
-                    max(abs(abs(g) ** 2 - q) for g in self.gauss_mp[1:]) if q > 2 else 0.0
-                )
-            self.gauss = np.array([complex(g) for g in self.gauss_mp])
-        tol = tolerance(q, precision)
+        self._zeta = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
+        self.gauss = self._build_double()
+        dev = np.abs(np.abs(self.gauss) ** 2 - q)
+        dev[0] = 0.0
+        self.residual = float(dev.max())
+        tol = tolerance(q)
         if self.residual > tol:
-            raise PrecisionError(
-                f"gauss table residual {self.residual:.3g} exceeds {tol:.3g};"
-                " retry with a higher-precision CharacterSystem"
-            )
+            raise PrecisionError(f"gauss table residual {self.residual:.3g} exceeds {tol:.3g}")
         self.gauss[0] = -1.0  # exact: full additive sum is 0, minus the x=0 term
-        if self.gauss_mp is not None:
-            self.gauss_mp[0] = -1
         self._hg_cache = {}
 
     def _trace_sequence(self):
@@ -96,63 +78,34 @@ class CharacterSystem:
         # G[m] = sum_k c_k zeta_{q-1}^{km}
         return np.fft.ifft(c) * (f.q - 1)
 
-    def _build_mp(self):
-        import mpmath as mp
-
-        f = self.field
-        q = f.q
-        with mp.workprec(self.precision):
-            zq = [mp.expjpi(mp.mpf(2 * k) / (q - 1)) for k in range(q - 1)]
-            zp = [mp.expjpi(mp.mpf(2 * r) / f.p) for r in range(f.p)]
-            tr = self._trace_sequence()
-            out = []
-            for m in range(q - 1):
-                acc = mp.mpc(0)
-                for k in range(q - 1):
-                    acc += zq[(m * k) % (q - 1)] * zp[int(tr[k])]
-                out.append(acc)
-        return out
-
     # -- operations -----------------------------------------------------------
 
     def gauss_at(self, m):
         """g(m mod (q-1))."""
         return complex(self.gauss[m % (self.field.q - 1)])
 
-    def omega_power(self, x, m):
-        """omega(x)^m = zeta_{q-1}^{m dlog x}; x must be nonzero."""
+    def _dlog(self, x):
+        """dlog of a nonzero element (FqElem or code)."""
         if isinstance(x, FqElem):
             if x.is_zero:
                 raise DomainError("omega of zero")
-            k = x.e
-        else:
-            k = int(self.field.dlog[int(x)])
-            if k < 0:
-                raise DomainError("omega of zero")
-        q1 = self.field.q - 1
-        idx = (m * k) % q1
-        if self._zeta is not None:
-            return complex(self._zeta[idx])
-        return complex(np.exp(2j * np.pi * idx / q1))
+            return x.e
+        k = int(self.field.dlog[int(x)])
+        if k < 0:
+            raise DomainError("omega of zero")
+        return k
+
+    def omega_power(self, x, m):
+        """omega(x)^m = zeta_{q-1}^{m dlog x}; x must be nonzero."""
+        return complex(self._zeta[(m * self._dlog(x)) % (self.field.q - 1)])
 
     def omega_vector(self, x, ms):
         """omega(x)^m over an integer array of m values."""
-        if isinstance(x, FqElem):
-            if x.is_zero:
-                raise DomainError("omega of zero")
-            k = x.e
-        else:
-            k = int(self.field.dlog[int(x)])
-            if k < 0:
-                raise DomainError("omega of zero")
-        q1 = self.field.q - 1
-        idx = (np.asarray(ms, dtype=np.int64) * k) % q1
-        if self._zeta is not None:
-            return self._zeta[idx]
-        return np.exp(2j * np.pi * idx / q1)
+        k = self._dlog(x)
+        return self._zeta[(np.asarray(ms, dtype=np.int64) * k) % (self.field.q - 1)]
 
 
-def gauss_table(field, precision=None, twist=1):
+def gauss_table(field, precision=53, twist=1):
     """Build a CharacterSystem; fails with PrecisionError if residual too large."""
     return CharacterSystem(field, precision, twist)
 
@@ -160,9 +113,10 @@ def gauss_table(field, precision=None, twist=1):
 _SYSTEMS = {}
 
 
-def get_character_system(field, precision=None, twist=1):
-    """Cached per-(field, precision, twist) CharacterSystem."""
-    key = (field.p, field.n, field.generator, precision, twist)
+def get_character_system(field, precision=53, twist=1):
+    """Cached per-(field, twist) CharacterSystem; precision must be 53."""
+    _check_precision(precision)
+    key = (field.p, field.n, field.generator, twist)
     cs = _SYSTEMS.get(key)
     if cs is None:
         cs = CharacterSystem(field, precision, twist)

@@ -81,7 +81,6 @@ class SweepConfig:
     q_list: tuple  # explicit odd prime powers
     t_list: tuple  # exact rationals
     seed: int = DEFAULT_SEED
-    precision: int = None
     fmt: str = "json-lines"
     jobs: int = 1
     timings: bool = False
@@ -143,7 +142,7 @@ def _field_for(q, seen={}):
 
 def _records_for_q(args):
     """All records of one field of the grid (worker unit for parallel runs)."""
-    q, t_list, checks, precision, timings = args
+    q, t_list, checks, timings = args
     from .charsum import get_character_system
     from .k3count import (
         verify_bcm_identity,
@@ -159,7 +158,7 @@ def _records_for_q(args):
         "main": lambda f, t, cs: verify_main_identity(f, t, cs),
     }
     field = _field_for(q)
-    cs = get_character_system(field, precision)
+    cs = get_character_system(field)
     out = []
     for check in checks:
         for t in t_list:
@@ -180,7 +179,7 @@ def _records_for_q(args):
 def run_sweep(config, out=sys.stdout):
     """Execute the configured checks over the grid; returns the exit code."""
     work = [
-        (q, config.t_list, config.checks, config.precision, config.timings)
+        (q, config.t_list, config.checks, config.timings)
         for q in sorted(config.q_list)
     ]
     if config.jobs > 1:
@@ -209,13 +208,6 @@ def emit_records(records, fmt, out):
 # verbs
 # ---------------------------------------------------------------------------
 
-def _env_precision(args):
-    if getattr(args, "precision", None):
-        return args.precision
-    env = os.environ.get("HGMK3_PRECISION")
-    return int(env) if env else None
-
-
 def _env_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -241,7 +233,7 @@ def cmd_gauss_check(args, out):
     from .charsum import get_character_system
 
     f = _field_for(args.p**args.n)
-    cs = get_character_system(f, _env_precision(args))
+    cs = get_character_system(f)
     import numpy as np
 
     mods = np.abs(cs.gauss[1:]) ** 2
@@ -261,7 +253,7 @@ def cmd_hgsum(args, out):
 
     datum = datum_from_parameters(parse_rational_list(args.alpha), parse_rational_list(args.beta))
     f = _field_for(args.p**args.n)
-    cs = get_character_system(f, _env_precision(args))
+    cs = get_character_system(f)
     t = f.parse_element(args.t)
     got = hg_sum(datum, f, t, cs=cs)
     _jdump({
@@ -294,7 +286,7 @@ def cmd_count_surface(args, out):
     _jdump({
         "q": rep.q,
         "t": args.t,
-        "affine": rep.affine[args.mode],
+        "affine": rep.affine["solved-z"],
         "affine_by_method": rep.affine,
         "elliptic_surface": rep.surface,
         "transcendental_trace": rep.transcendental,
@@ -317,7 +309,6 @@ def _sweep_config_from_args(args, checks):
         q_list=q_list,
         t_list=parse_rational_list(args.t),
         seed=_env_seed(args),
-        precision=_env_precision(args),
         fmt=args.format,
         jobs=args.jobs,
         timings=args.timings,
@@ -336,7 +327,7 @@ def cmd_verify_curve_theorem(args, out):
     records = []
     for q in (int(x) for x in args.q.split(",")):
         field = _field_for(q)
-        cs = get_character_system(field, _env_precision(args))
+        cs = get_character_system(field)
         for a in range(1, q):
             for b in range(1, q):
                 rep = verify_curve_trace_theorem(field, field.from_code(a), field.from_code(b), cs)
@@ -498,7 +489,6 @@ def _add_sweep_args(p):
     p.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", type=int, default=None)
     p.add_argument("--timings", action="store_true")
 
 
@@ -512,7 +502,6 @@ def build_parser():
 
     p = sub.add_parser("gauss-check")
     _add_field_args(p)
-    p.add_argument("--precision", type=int, default=None)
     p.set_defaults(func=cmd_gauss_check)
 
     p = sub.add_parser("hgsum")
@@ -520,7 +509,6 @@ def build_parser():
     p.add_argument("--beta", required=True)
     _add_field_args(p)
     p.add_argument("--t", required=True)
-    p.add_argument("--precision", type=int, default=None)
     p.set_defaults(func=cmd_hgsum)
 
     p = sub.add_parser("curve")
@@ -537,7 +525,6 @@ def build_parser():
     c = csub.add_parser("surface")
     _add_field_args(c)
     c.add_argument("--t", required=True)
-    c.add_argument("--mode", choices=("solved-z", "naive"), default="solved-z")
     c.set_defaults(func=cmd_count_surface)
 
     p = sub.add_parser("verify")
@@ -549,7 +536,6 @@ def build_parser():
     v = vsub.add_parser("curve-theorem")
     v.add_argument("--q", required=True, help="comma-separated q list, exhaustive (a,b)")
     v.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
-    v.add_argument("--precision", type=int, default=None)
     v.set_defaults(func=cmd_verify_curve_theorem)
     v = vsub.add_parser("maps")
     v.add_argument("--only", default=None)

@@ -105,14 +105,6 @@ MODELS = {
 _K3_DEGREES = (8, 12, 24)
 
 
-def _ord_at_linear(poly, x0):
-    n = 0
-    while not poly.is_zero and poly.eval(x0) == 0:
-        poly = sp.Poly(sp.div(poly.as_expr(), _s - x0, _s)[0], _s)
-        n += 1
-    return n
-
-
 def _ord_at_poly(poly, place):
     n = 0
     while not poly.is_zero:
@@ -211,13 +203,10 @@ def kodaira_profile(model, t):
             continue
         fpoly = fpoly.monic()
         if fpoly.degree() == 1:
-            x0 = -fpoly.all_coeffs()[1]
-            label = f"s={sp.nsimplify(x0)}"
-            orders = (_ord_at_linear(c4, x0), _ord_at_linear(c6, x0), _ord_at_linear(delta, x0))
+            label = f"s={sp.nsimplify(-fpoly.all_coeffs()[1])}"
         else:
             label = f"s^{fpoly.degree()}[{fpoly.as_expr()}]"
-            orders = (_ord_at_poly(c4, fpoly), _ord_at_poly(c6, fpoly), _ord_at_poly(delta, fpoly))
-        oc4, oc6, od = _minimalize(*orders)
+        oc4, oc6, od = _minimalize(*(_ord_at_poly(c, fpoly) for c in (c4, c6, delta)))
         if od == 0:
             continue
         ktype = kodaira_from_orders(oc4, oc6, od)

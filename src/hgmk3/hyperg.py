@@ -13,8 +13,9 @@ D(x) = gcd(prod (x^{p_j}-1), prod (x^{q_k}-1)).  The sum itself is
     H_q = (-1)^{r+s}/(1-q) * sum_m q^{-s(0)+s(m)}
           prod_j g(p_j m) prod_k g(-q_k m) * omega(eps M^{-1} t)^m.
 
-Values are certified by rounding: q^{s(0)-1} H_q is asserted to be an integer
-within an absolute threshold, escalating precision once before failing.
+Values are certified by rounding: q^{s(0)-1} H_q must lie within an absolute
+threshold of an integer, or hg_sum raises charsum.PrecisionError.  There is no
+retry: the 53-bit Gauss table is the only one.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import get_character_system
+from .charsum import PrecisionError, get_character_system
 from .ffield import DomainError, FqElem
 
-ROUNDING_THRESHOLD = 1e-3  # absolute, at default precision
+ROUNDING_THRESHOLD = 1e-3  # absolute
 
 
 class DatumError(ValueError):
@@ -164,7 +165,6 @@ class HGValue:
     value: complex
     rounded: Fraction
     residual: float
-    precision: int
 
 
 def _s_of_m_array(datum, q):
@@ -210,61 +210,29 @@ def _reduce_argument(datum, field, t):
     return scale * telt
 
 
-def hg_sum(datum, field, t, cs=None, precision=None, _escalated=False):
+def hg_sum(datum, field, t, cs=None):
     """Evaluate H_q(alpha, beta | t); certify q^(s0-1) * H as an integer."""
     if math.gcd(field.q, datum.denominator_lcm) != 1:
         raise DomainError(
             f"q = {field.q} shares a factor with the parameter denominators"
         )
     if cs is None:
-        cs = get_character_system(field, precision)
+        cs = get_character_system(field)
     z = _reduce_argument(datum, field, t)
     q = field.q
-    if cs.gauss_mp is not None:
-        value = _hg_sum_mp(datum, cs, z)
-    else:
-        w = _weights(datum, cs)
-        value = complex(np.dot(w, cs.omega_vector(z, np.arange(q - 1)))) * (
-            (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
-        )
+    w = _weights(datum, cs)
+    value = complex(np.dot(w, cs.omega_vector(z, np.arange(q - 1)))) * (
+        (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
+    )
     denom = q ** (datum.s0() - 1)
     scaled = value * denom
     nearest = round(scaled.real)
     residual = abs(scaled - nearest)
     if residual > ROUNDING_THRESHOLD:
-        if not _escalated:
-            hi = get_character_system(field, 128)
-            return hg_sum(datum, field, t, cs=hi, _escalated=True)
-        raise PrecisionEscalationError(
-            f"rounding residual {residual:.3g} above {ROUNDING_THRESHOLD} even at high precision"
+        raise PrecisionError(
+            f"rounding residual {residual:.3g} above {ROUNDING_THRESHOLD} at q = {q}"
         )
-    return HGValue(value, Fraction(nearest, denom), residual, cs.precision)
-
-
-def _hg_sum_mp(datum, cs, z):
-    import mpmath as mp
-
-    field = cs.field
-    q = field.q
-    N = q - 1
-    sm = _s_of_m_array(datum, q)
-    k = z.e
-    with mp.workprec(cs.precision):
-        zq = [mp.expjpi(mp.mpf(2 * i) / N) for i in range(N)]
-        acc = mp.mpc(0)
-        for m in range(N):
-            term = mp.mpf(q) ** int(sm[m] - datum.s0())
-            for p in datum.p_list:
-                term = term * cs.gauss_mp[(p * m) % N]
-            for qq in datum.q_list:
-                term = term * cs.gauss_mp[(-qq * m) % N]
-            acc += term * zq[(m * k) % N]
-        pref = mp.mpf((-1) ** (len(datum.p_list) + len(datum.q_list))) / (1 - q)
-        return complex(acc * pref)
-
-
-class PrecisionEscalationError(ArithmeticError):
-    """Rounding failed even after escalating precision."""
+    return HGValue(value, Fraction(nearest, denom), residual)
 
 
 _MAIN = None

@@ -25,6 +25,9 @@ from .hyperg import hg_H2, hg_H3
 RESIDUAL_LIMIT = 1e-3
 # Cells per block of rows in a counting grid: int64 temporaries stay near 8 MB.
 BLOCK_CELLS = 1 << 20
+# Largest q at which surface_count_report also runs the O(q^3) naive count
+# (about 2 s per t at q = 401).
+NAIVE_MAX_Q = 401
 
 
 class BadReductionError(ReductionError):
@@ -338,7 +341,8 @@ def verify_main_identity(field, t, cs=None):
 class CountReport:
     """Counts of one (q, t) cell by every applicable method.
 
-    affine counts carry method tags; methods must agree whenever several run.
+    affine counts carry method tags ("naive" only for q <= NAIVE_MAX_Q);
+    methods must agree whenever several run.
     """
 
     q: int
@@ -351,13 +355,14 @@ class CountReport:
 
 
 def surface_count_report(field, t, cs=None):
-    """Count the cell by naive, solved-quadratic, fibered and sum-side methods."""
+    """Count the cell by solved-quadratic, fibered and sum-side methods, and by
+    the naive triple loop when q <= NAIVE_MAX_Q."""
     t = Fraction(t)
     q = field.q
-    affine = {
-        "naive": count_affine(field, t, "naive"),
-        "solved-z": count_affine(field, t, "solved-z"),
-    }
+    affine = {}
+    if q <= NAIVE_MAX_Q:
+        affine["naive"] = count_affine(field, t, "naive")
+    affine["solved-z"] = count_affine(field, t, "solved-z")
     nearest, _ = _gauss_expression(field, t, cs)
     affine["hypergeometric"] = (q * q - 3 * q + 3) + nearest
     surface = breakdown = None

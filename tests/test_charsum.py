@@ -55,8 +55,9 @@ def test_index_reduction():
     assert cs5.gauss_at(6) == cs5.gauss_at(2)
 
 
-def test_full_table_matches_brute_force_f9():
-    f = field_new(3, 2)
+@pytest.mark.parametrize("p,n", [(3, 2), (7, 1), (13, 1)])
+def test_full_table_matches_brute_force(p, n):
+    f = field_new(p, n)
     cs = gauss_table(f)
     for m in range(1, f.q - 1):
         assert abs(cs.gauss_at(m) - brute_gauss(f, m)) < 1e-9
@@ -106,13 +107,14 @@ def test_additive_rescaling(a):
         assert abs(tw.gauss_at(m) - expect) < 1e-8
 
 
-def test_high_precision_mode_small_field():
-    f = field_new(7)
-    cs = CharacterSystem(f, precision=128)
-    base = gauss_table(f)
-    for m in range(f.q - 1):
-        assert abs(cs.gauss_at(m) - base.gauss_at(m)) < 1e-9
-    assert cs.residual < 1e-12
+def test_only_53_bit_precision_is_accepted():
+    f = field_new(17)
+    assert get_character_system(f).precision == 53
+    for bits in (64, 128):
+        with pytest.raises(ValueError):
+            get_character_system(f, bits)  # also when the 53-bit table is cached
+        with pytest.raises(ValueError):
+            CharacterSystem(f, bits)
 
 
 def test_cached_factory_distinguishes_twist_and_precision():
@@ -120,5 +122,6 @@ def test_cached_factory_distinguishes_twist_and_precision():
     a = get_character_system(f)
     b = get_character_system(f)
     assert a is b
+    assert get_character_system(f, 53) is a  # the precision argument is not a key
     c = get_character_system(f, twist=2)
     assert c is not a

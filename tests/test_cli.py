@@ -1,5 +1,6 @@
 """CLI verbs, record schema, determinism, skip records, exit codes."""
 
+import argparse
 import io
 import json
 
@@ -9,6 +10,7 @@ from hgmk3.cli import (
     RECORD_FIELDS,
     SweepConfig,
     UsageError,
+    build_parser,
     main,
     odd_prime_powers,
     parse_rational_list,
@@ -212,7 +214,19 @@ def test_env_seed_and_precision(monkeypatch):
     monkeypatch.setenv("HGMK3_SEED", "12")
     code, out2 = run(["verify", "maps", "--only", "identity_sanity", "--trials", "3"])
     assert code == 0
-    monkeypatch.setenv("HGMK3_PRECISION", "64")
+    # precision is fixed at 53 bits: no verb takes a --precision option
     code, out = run(["gauss-check", "--p", "5"])
-    assert code == 0
-    assert json.loads(out)["precision"] == 64
+    assert code == 0 and json.loads(out)["precision"] == 53
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss-check", "--p", "5", "--precision", "53"])
+    assert exc.value.code == 2
+    for verb in _all_subparsers(build_parser()):
+        assert "--precision" not in verb._option_string_actions, verb.prog
+
+
+def _all_subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield sub
+                yield from _all_subparsers(sub)

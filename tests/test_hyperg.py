@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgmk3.charsum import gauss_table, get_character_system
+from hgmk3.charsum import CharacterSystem, PrecisionError, gauss_table, get_character_system
 from hgmk3.ffield import DomainError, field_new
 from hgmk3.hyperg import (
     DatumError,
@@ -259,9 +259,25 @@ def test_h3_integrality_bound_guard():
     assert abs(int(out.rounded)) <= 3 * 7
 
 
-def test_high_precision_escalation_path():
+def test_rounding_failure_raises_without_retry(monkeypatch):
+    import hgmk3.hyperg as hyperg
+
     f = field_new(7)
-    cs = get_character_system(f, 128)
-    out = hg_sum(main_datum(), f, f.from_int(4), cs=cs)
-    assert out.rounded == -3
-    assert out.precision == 128
+    cs = CharacterSystem(f)
+    assert hg_sum(main_datum(), f, f.from_int(4), cs=cs).rounded == -3
+    cs.gauss[1] += 0.5
+    cs._hg_cache.clear()
+
+    def no_second_table(*args, **kwargs):
+        raise AssertionError("hg_sum fetched another table")
+
+    monkeypatch.setattr(hyperg, "get_character_system", no_second_table)
+    with pytest.raises(PrecisionError):
+        hg_sum(main_datum(), f, f.from_int(4), cs=cs)
+
+
+def test_default_settings_above_ten_thousand():
+    f = field_new(10007)
+    out = hg_sum(main_datum(), f, 2)
+    assert out.rounded == 6479 and out.residual < 1e-9
+    assert hg_H3(f, 2) == 6479

@@ -257,6 +257,23 @@ def test_surface_count_report_methods_agree():
     assert rep.transcendental == rep.affine["solved-z"] + 3 * 5 - 3 - 25
 
 
+def test_surface_count_report_skips_naive_above_bound():
+    from hgmk3.k3count import NAIVE_MAX_Q, surface_count_report
+
+    f = field_new(2003)
+    assert f.q > NAIVE_MAX_Q
+    rep = surface_count_report(f, F(2))
+    assert set(rep.affine) == {"solved-z", "hypergeometric"}
+    assert rep.methods_agree and rep.surface is not None
+    assert rep.surface - (22 * 2003 - 2) == rep.affine["solved-z"]
+
+
+def test_bcm_and_trace_at_default_settings_q_10007():
+    f = field_new(10007)
+    for rep in (verify_bcm_identity(f, F(2)), verify_trace_corollary(f, F(2))):
+        assert rep.passed and not rep.skipped, rep
+
+
 def test_non_cm_trace_equals_sym2_trace_when_S_rational():
     # T = a(E1)^2 - q whenever S in F_q, for non-CM t
     from hgmk3.ecount import e1_e2, trace
