@@ -13,6 +13,11 @@ D(x) = gcd(prod (x^{p_j}-1), prod (x^{q_k}-1)).  The sum itself is
     H_q = (-1)^{r+s}/(1-q) * sum_m q^{-s(0)+s(m)}
           prod_j g(p_j m) prod_k g(-q_k m) * omega(eps M^{-1} t)^m.
 
+The weights w(m) depend on the datum and the Gauss table only, and are cached
+on the CharacterSystem as an A x B matrix W[a, b] = w(a B + b), B = ceil(sqrt(q-1)),
+zero past m = q-2.  With omega(z)^(a B + b) = u[a] v[b] the sum over m is u^T W v:
+per t one complex matrix-vector product and A + B root-of-unity lookups.
+
 Values are certified by rounding: q^{s(0)-1} H_q must lie within an absolute
 threshold of an integer, or hg_sum raises charsum.PrecisionError.  There is no
 retry: the 53-bit Gauss table is the only one.
@@ -21,6 +26,7 @@ retry: the 53-bit Gauss table is the only one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,8 +78,6 @@ class HGDatum:
 
 def _cyclotomic_multiset(entries):
     """Multiplicity of each Phi_d in prod (x - e^{2 pi i a}) for Galois-stable input."""
-    from collections import Counter
-
     per_residue = {}
     for a in entries:
         per_residue.setdefault(a.denominator, Counter())[a.numerator] += 1
@@ -167,33 +171,60 @@ class HGValue:
     residual: float
 
 
+def _s_support(datum, N):
+    """(ms, s) of the nonzero s(m): m = j N/d for d | N with gcd(j, d) = 1 has order d."""
+    ms, s = [], []
+    for d, mult in datum.d_multiplicities.items():
+        if N % d == 0:
+            js = [j for j in range(d) if math.gcd(j, d) == 1]
+            ms += [j * (N // d) for j in js]
+            s += [mult] * len(js)
+    return np.array(ms, dtype=np.int64), np.array(s, dtype=np.int64)
+
+
 def _s_of_m_array(datum, q):
-    ms = np.arange(q - 1, dtype=np.int64)
-    d = (q - 1) // np.gcd(ms, q - 1)
-    d[0] = 1
+    """s(m) for every m in [0, q-2]."""
     out = np.zeros(q - 1, dtype=np.int64)
-    for dv, mult in datum.d_multiplicities.items():
-        out[d == dv] = mult
+    ms, s = _s_support(datum, q - 1)
+    out[ms] = s
     return out
 
 
+# m values per fill step: the int64 index and gathered-table temporaries stay near 1.5 MB.
+_FILL_BLOCK = 1 << 16
+
+
 def _weights(datum, cs):
-    """Cached per-(datum, system) array W[m] = q^{-s0+s(m)} prod g(p m) prod g(-q m)."""
+    """Cached per-(datum, system) A x B matrix W[a, b] = w(a B + b), zero past N - 1.
+
+    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m).  The matrix is filled in place,
+    a block of m at a time, and a multiplier repeated in the datum is gathered once
+    per block.
+    """
     key = datum.key()
     cached = cs._hg_cache.get(key)
     if cached is not None:
         return cached
     q = cs.field.q
     N = q - 1
-    sm = _s_of_m_array(datum, q)
-    ms = np.arange(N, dtype=np.int64)
-    w = np.float_power(float(q), sm - datum.s0()).astype(complex)
-    for p in datum.p_list:
-        w *= cs.gauss[(p * ms) % N]
-    for qq in datum.q_list:
-        w *= cs.gauss[(-qq * ms) % N]
-    cs._hg_cache[key] = w
-    return w
+    B = math.isqrt(N - 1) + 1  # ceil(sqrt(N)); A = ceil(N / B) <= B rows
+    A = -(-N // B)
+    W = np.zeros(A * B, dtype=complex)
+    w = W[:N]
+    w.fill(float(q) ** -datum.s0())
+    ms, s = _s_support(datum, N)
+    w[ms] = np.float_power(float(q), s - datum.s0())
+    multipliers = Counter(datum.p_list + tuple(-qq for qq in datum.q_list))
+    for start in range(0, N, _FILL_BLOCK):
+        seg = w[start:start + _FILL_BLOCK]
+        m = np.arange(start, start + len(seg), dtype=np.int64)
+        for c, count in multipliers.items():
+            g = cs.gauss[(c * m) % N]
+            for _ in range(count):  # not g**count: same rounding as factor by factor
+                seg *= g
+    W = W.reshape(A, B)
+    cs._hg_cache[key] = W
+    return W
 
 
 def _reduce_argument(datum, field, t):
@@ -220,8 +251,12 @@ def hg_sum(datum, field, t, cs=None):
         cs = get_character_system(field)
     z = _reduce_argument(datum, field, t)
     q = field.q
-    w = _weights(datum, cs)
-    value = complex(np.dot(w, cs.omega_vector(z, np.arange(q - 1)))) * (
+    W = _weights(datum, cs)
+    A, B = W.shape
+    # sum_m w(m) omega(z)^m = u^T W v with v[b] = omega(z)^b, u[a] = omega(z)^(a B)
+    v = cs.omega_vector(z, np.arange(B))
+    u = cs.omega_vector(z, np.arange(0, A * B, B))
+    value = complex(u @ (W @ v)) * (
         (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
     )
     denom = q ** (datum.s0() - 1)

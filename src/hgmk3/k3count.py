@@ -303,12 +303,12 @@ def verify_main_identity(field, t, cs=None):
         return CheckReport("main", q, t, skipped=True, reason="(t-1)/t is not a square")
     roots = [S0, -S0]
     inv_t = one / inst.t_mod
+    if any(one - S * S != inv_t for S in roots):
+        return CheckReport("main", q, t, passed=False, reason="1 - S^2 != 1/t")
+    h3 = hg_H3(field, inv_t, cs=cs)
     cells = []
     passed = True
     for S in roots:
-        if one - S * S != inv_t:
-            return CheckReport("main", q, t, passed=False, reason="1 - S^2 != 1/t")
-        h3 = hg_H3(field, inv_t, cs=cs)
         for sign in (+1, -1):
             num = field.from_int(7) + field.from_int(9 * sign) * S
             den = field.from_int(5) + field.from_int(3 * sign) * S
@@ -328,7 +328,6 @@ def verify_main_identity(field, t, cs=None):
         return CheckReport("main", q, t, skipped=True,
                            reason="all sign cells degenerate", detail={"cells": cells})
     live = [c for c in cells if "skipped" not in c]
-    h3 = live[0]["h3"]
     first_bad = next((c for c in live if not c["pass"]), live[0])
     return CheckReport(
         "main", q, t, passed=passed,

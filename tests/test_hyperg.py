@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hgmk3.charsum import CharacterSystem, PrecisionError, gauss_table, get_character_system
-from hgmk3.ffield import DomainError, field_new
+from hgmk3.ecount import verify_curve_trace_theorem
+from hgmk3.ffield import DomainError, FqElem, field_new
 from hgmk3.hyperg import (
     DatumError,
+    _s_of_m_array,
     curve_datum,
     datum_from_parameters,
     hg_H2,
@@ -281,3 +284,92 @@ def test_default_settings_above_ten_thousand():
     out = hg_sum(main_datum(), f, 2)
     assert out.rounded == 6479 and out.residual < 1e-9
     assert hg_H3(f, 2) == 6479
+
+
+DEGREE_FOUR = datum_from_parameters((F(1, 5), F(2, 5), F(3, 5), F(4, 5)), (0, 0, 0, 0))
+# N = q - 1 is 2 or a perfect square at 3, 5, 17, 37, 101 (no padding, or a
+# single-row matrix); 9, 25, 27, 343 are extension fields
+BLOCKED_FIELDS = [(3, 1), (5, 1), (17, 1), (37, 1), (101, 1), (3, 2), (5, 2), (3, 3), (7, 3), (1009, 1)]
+
+
+def _data_for(q):
+    return [d for d in (main_datum(), curve_datum(), DEGREE_FOUR) if math.gcd(q, d.denominator_lcm) == 1]
+
+
+def gcd_s_of_m(datum, q):
+    """s(m) by the order of m in Z/(q-1), one gcd per m."""
+    ms = np.arange(q - 1, dtype=np.int64)
+    d = (q - 1) // np.gcd(ms, q - 1)
+    d[0] = 1
+    out = np.zeros(q - 1, dtype=np.int64)
+    for dv, mult in datum.d_multiplicities.items():
+        out[d == dv] = mult
+    return out
+
+
+def flat_hg_sum(datum, field, t_elem):
+    """The sum as one flat dot product of the weight vector with omega(z)^m."""
+    cs = get_character_system(field)
+    q = field.q
+    N = q - 1
+    ms = np.arange(N, dtype=np.int64)
+    w = np.float_power(float(q), gcd_s_of_m(datum, q) - datum.s0()).astype(complex)
+    for p in datum.p_list:
+        w *= cs.gauss[(p * ms) % N]
+    for qq in datum.q_list:
+        w *= cs.gauss[(-qq * ms) % N]
+    z = field.from_rational(F(datum.epsilon) / datum.M) * t_elem
+    sign = (-1) ** (len(datum.p_list) + len(datum.q_list))
+    value = complex(np.dot(w, cs._zeta[(ms * z.e) % N])) * sign / (1 - q)
+    denom = q ** (datum.s0() - 1)
+    return value, F(round((value * denom).real), denom)
+
+
+@pytest.mark.parametrize("p,n", BLOCKED_FIELDS)
+def test_blocked_sum_matches_flat_reference(p, n):
+    f = field_new(p, n)
+    for datum in _data_for(f.q):
+        for e in range(f.q - 1):
+            t = FqElem(f, e)
+            got = hg_sum(datum, f, t)
+            value, rounded = flat_hg_sum(datum, f, t)
+            assert got.rounded == rounded
+            assert abs(got.value - value) < 1e-8
+
+
+@pytest.mark.parametrize("p,n", BLOCKED_FIELDS)
+def test_s_of_m_matches_gcd_formula(p, n):
+    q = p**n
+    for datum in (main_datum(), curve_datum(), DEGREE_FOUR):
+        assert np.array_equal(_s_of_m_array(datum, q), gcd_s_of_m(datum, q))
+
+
+@pytest.mark.parametrize("p,n", BLOCKED_FIELDS)
+def test_weight_cache_holds_one_padded_matrix_per_datum(p, n):
+    f = field_new(p, n)
+    cs = CharacterSystem(f)
+    N = f.q - 1
+    data = _data_for(f.q)
+    lookups = []
+    omega_vector = cs.omega_vector
+    cs.omega_vector = lambda x, ms: (lookups.append(len(ms)), omega_vector(x, ms))[1]
+    for datum in data:
+        for t in (1, 2, 1):
+            hg_sum(datum, f, f.from_int(t), cs=cs)
+    assert len(cs._hg_cache) == len(data)
+    for datum in data:
+        W = cs._hg_cache[datum.key()]
+        A, B = W.shape
+        assert A * B >= N and A * B - N < B and A <= B
+        assert not W.reshape(-1)[N:].any()
+    # per t: A + B roots of unity, not q - 1
+    assert lookups and max(lookups) <= B
+
+
+def test_large_field():
+    f = field_new(1000003)
+    assert hg_H3(f, 2) == 793921
+    assert f.q * hg_H2(f, 2) == 788
+    for a, b in [(1, 1), (5, 7), (123456, 654321)]:
+        rep = verify_curve_trace_theorem(f, a, b)
+        assert rep.passed and not rep.skipped and rep.count == rep.rhs
