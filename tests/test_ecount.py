@@ -1,21 +1,28 @@
 """Curve counting: hand-enumeration oracles, E1/E2, Hasse, twists, extensions."""
 
+import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from sympy import factorint
 
+from hgmk3 import ecount
+from hgmk3.charsum import get_character_system
+from hgmk3.cli import odd_prime_powers
 from hgmk3.ecount import (
     SingularCurveError,
     WeierstrassCurve,
     count_points,
+    count_points_character,
+    count_points_mestre,
     e1_e2,
     sym2_trace,
     trace,
     trace_over_extension,
     verify_curve_trace_theorem,
 )
-from hgmk3.ffield import DomainError, field_new
+from hgmk3.ffield import DomainError, FqElem, field_new
 
 
 def brute_count(p, a2, a4, a6):
@@ -214,5 +221,133 @@ def test_rational_model_reduction_and_j():
     f7 = field_new(7)
     r = e1.reduce(f7)
     assert r.field is f7
-    assert count_points(r) == brute_count(7, 5, (1 * pow(2, -1, 7)) % 7 - 0, 0) or True
     assert count_points(r) == brute_count(7, -2 % 7, pow(2, -1, 7), 0)
+
+
+def assert_mestre_matches_oracle(c):
+    f = c.field
+    got = count_points_mestre(f.p, c.a2.code, c.a4.code, c.a6.code)
+    assert got == count_points_character(c), (f.p, c.a2.code, c.a4.code, c.a6.code)
+
+
+@pytest.mark.parametrize("p", [233, 241, 1009, 10007])
+def test_mestre_count_matches_character_count_on_random_curves(p):
+    f = field_new(p)
+    rng = random.Random(f"mestre:{p}")
+    done = 0
+    while done < 60:
+        c = curve(f, rng.randrange(p), rng.randrange(p), rng.randrange(p))
+        if not c.is_singular():
+            assert_mestre_matches_oracle(c)
+            done += 1
+
+
+@pytest.mark.parametrize("p", [233, 241])
+def test_mestre_count_on_j0_and_j1728_families(p):
+    # y^2 = x^3 + b and y^2 = x^3 + a x: supersingular cases and non-cyclic groups
+    f = field_new(p)
+    for k in range(1, p):
+        assert_mestre_matches_oracle(curve(f, 0, 0, k))
+        assert_mestre_matches_oracle(curve(f, 0, k, 0))
+
+
+@pytest.mark.parametrize("p", [233, 241, 10007])
+def test_mestre_count_with_a2_nonzero(p):
+    from hgmk3.ffield import sqrt
+
+    f = field_new(p)
+    for t_code in range(2, 40):
+        t = f.from_int(t_code)
+        # the fiber at infinity of the K3 model
+        assert_mestre_matches_oracle(WeierstrassCurve(f.one() / 4, f.one() / (64 * t), f.zero(), f))
+        s2 = (t - f.one()) / t
+        if s2.is_zero or s2.e % 2:
+            continue
+        for c in e1_e2(t, sqrt(f, s2), f):
+            assert_mestre_matches_oracle(c)
+
+
+def test_mestre_count_at_large_prime():
+    p = 1000003
+    f = field_new(p)
+    for a4, a6 in [(1, 1), (5, 7), (123456, 654321), (p - 1, 0), (0, 999999)]:
+        assert_mestre_matches_oracle(curve(f, 0, a4, a6))
+
+
+def test_mestre_count_leaves_global_rng_and_repeats():
+    state = random.getstate()
+    first = count_points_mestre(10007, 3, 5, 7)
+    assert random.getstate() == state
+    assert count_points_mestre(10007, 3, 5, 7) == first
+
+
+def test_exhausted_draws_fall_back_to_character_count(monkeypatch):
+    f = field_new(10007)
+    c = curve(f, 0, 5, 7)
+    expected = count_points(c)
+    monkeypatch.setattr(ecount, "MESTRE_MAX_POINTS", 0)
+    assert count_points_mestre(f.p, 0, 5, 7) is None
+    assert count_points(c) == expected == count_points_character(c)
+
+
+def test_count_points_dispatch_by_field(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong counting path")
+
+    small = curve(field_new(2003), 0, 5, 7)
+    big = curve(field_new(10007), 0, 5, 7)
+    ext = curve(field_new(59, 2), 0, 5, 7)
+    expected = [count_points(c) for c in (small, big, ext)]
+    monkeypatch.setattr(ecount, "count_points_mestre", refuse)
+    assert count_points(small) == expected[0]
+    monkeypatch.setattr(ecount, "MESTRE_MIN_P", 3)  # extension fields never qualify
+    assert count_points(ext) == expected[2]
+    monkeypatch.undo()
+    monkeypatch.setattr(ecount, "count_points_character", refuse)
+    assert count_points(big) == expected[1]
+
+
+def class_representatives(f):
+    """One (a, b) per class (z, chi(a/b)) of E_{a,b}: y^2 = x^3 - a x + b.
+
+    With b = l a, z = 27 b^2 / (4 a^3) = 27 l^2 / (4 a) and chi(a/b) = chi(l),
+    so l = 1 and l = g (the generator, a nonsquare) with a = 27 l^2 / (4 z)
+    reach both classes over each z in F_q^x.
+    """
+    out = []
+    for k in range(f.q - 1):
+        z = FqElem(f, k)
+        for l in (f.one(), f.gen()):
+            a = f.from_int(27) * l * l / (f.from_int(4) * z)
+            out.append((a, l * a))
+    return out
+
+
+def class_of(f, a, b):
+    return f.from_int(27) * b * b / (f.from_int(4) * a * a * a), (a / b).e % 2
+
+
+@pytest.mark.parametrize("q", [q for q in odd_prime_powers(5, 199) if q % 3])
+def test_curve_trace_theorem_by_isomorphism_class(q):
+    (p, n), = factorint(q).items()
+    f = field_new(p, n)
+    cs = get_character_system(f)
+    reps = class_representatives(f)
+    assert len({class_of(f, a, b) for a, b in reps}) == len(reps) == 2 * (q - 1)
+    for a, b in reps:
+        r = verify_curve_trace_theorem(f, a, b, cs)
+        singular = class_of(f, a, b)[0] == f.one()
+        assert (r.skipped == singular) and (r.skipped or r.passed), (q, a.code, b.code, r)
+
+
+def test_curve_trace_invariants_are_isomorphism_invariant():
+    f = field_new(1009)
+    rng = random.Random("isomorphism-classes")
+    for _ in range(40):
+        a, b, u = (f.from_int(rng.randrange(1, 1009)) for _ in range(3))
+        a2, b2 = a / u**4, b / u**6
+        assert class_of(f, a, b) == class_of(f, a2, b2)
+        if (4 * a * a * a - 27 * b * b).is_zero:
+            continue
+        assert count_points(WeierstrassCurve(f.zero(), -a, b, f)) == count_points(
+            WeierstrassCurve(f.zero(), -a2, b2, f))
