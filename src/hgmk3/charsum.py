@@ -110,15 +110,11 @@ def gauss_table(field, precision=53, twist=1):
     return CharacterSystem(field, precision, twist)
 
 
-_SYSTEMS = {}
-
-
 def get_character_system(field, precision=53, twist=1):
-    """Cached per-(field, twist) CharacterSystem; precision must be 53."""
+    """The field's CharacterSystem for this twist, cached on the field; precision must be 53."""
     _check_precision(precision)
-    key = (field.p, field.n, field.generator, twist)
-    cs = _SYSTEMS.get(key)
+    cs = field.gauss_tables.get(twist)
     if cs is None:
         cs = CharacterSystem(field, precision, twist)
-        _SYSTEMS[key] = cs
+        field.gauss_tables[twist] = cs
     return cs

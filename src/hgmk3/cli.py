@@ -2,7 +2,8 @@
 and CM table checks, with JSON-lines or CSV reports.
 
 Records are sorted by (check, q, t, name) and carry first-class skip reasons,
-so grid coverage is auditable and reruns under a fixed seed are byte-identical.
+so grid coverage is auditable and reruns of the same command are byte-identical
+(the sampling verbs draw from --seed or HGMK3_SEED).
 Exit codes: 0 all pass, 1 any failure, 2 usage error.
 """
 
@@ -80,7 +81,6 @@ class SweepConfig:
     checks: tuple
     q_list: tuple  # explicit odd prime powers
     t_list: tuple  # exact rationals
-    seed: int = DEFAULT_SEED
     fmt: str = "json-lines"
     jobs: int = 1
     timings: bool = False
@@ -131,13 +131,15 @@ def parse_rational_list(text):
         raise UsageError(f"bad rational list {text!r}: {e}") from None
 
 
-def _field_for(q, seen={}):
+def _field_for(q, latest={}):
+    """The field of order q; only the latest one is kept, with its tables."""
     from .ffield import field_new
 
-    if q not in seen:
+    if q not in latest:
         p, n = next(iter(factorint(q).items()))
-        seen[q] = field_new(p, n)
-    return seen[q]
+        latest.clear()
+        latest[q] = field_new(p, n)
+    return latest[q]
 
 
 def _records_for_q(args):
@@ -308,7 +310,6 @@ def _sweep_config_from_args(args, checks):
         checks=checks,
         q_list=q_list,
         t_list=parse_rational_list(args.t),
-        seed=_env_seed(args),
         fmt=args.format,
         jobs=args.jobs,
         timings=args.timings,
@@ -488,7 +489,6 @@ def _add_sweep_args(p):
                    help="comma-separated rationals")
     p.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timings", action="store_true")
 
 

@@ -34,7 +34,11 @@ class SingularCurveError(ValueError):
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q (FqElem) or exact rationals."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q (FqElem) or exact rationals.
+
+    The invariants (b_invariants, c4, c6, discriminant) use ring operations
+    only, so geomver also builds curves on sympy expressions to get them.
+    """
 
     a2: object
     a4: object

@@ -146,9 +146,11 @@ class FieldSpec:
         dlog: int32 array over codes, dlog[0] = -1.
         zech: int32 array, zech[k] = dlog(1 + generator^k), -1 when 1+g^k = 0.
         trace: int32 array over codes, absolute trace to F_p.
+        gauss_tables: twist code -> CharacterSystem, filled by
+            charsum.get_character_system, so a table lives as long as its field.
 
-    Construction is single-threaded; instances are never mutated afterwards and
-    are safe for concurrent read-only sharing.
+    Construction is single-threaded; apart from that table cache, instances are
+    never mutated afterwards and are safe for concurrent read-only sharing.
     """
 
     def __init__(self, p, n=1, generator=None):
@@ -173,6 +175,7 @@ class FieldSpec:
                 raise FieldConstructionError(f"code {generator} does not generate F_{q}^x")
             self.generator = int(generator)
         self._build_tables()
+        self.gauss_tables = {}
 
     def next_generator(self):
         """Field rebuilt with the next-larger generator (for independence checks)."""

@@ -15,6 +15,8 @@ from fractions import Fraction
 import sympy as sp
 from sympy import Rational as R
 
+from ..ecount import WeierstrassCurve, e1_e2
+
 _s = sp.symbols("s")
 
 
@@ -50,14 +52,8 @@ class FibrationProfile:
 
 
 def _weierstrass_polys(a2, a4, a6):
-    b2 = 4 * a2
-    b4 = 2 * a4
-    b6 = 4 * a6
-    b8 = 4 * a2 * a6 - a4**2
-    c4 = b2**2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
-    return (sp.Poly(sp.expand(c4), _s), sp.Poly(sp.expand(c6), _s), sp.Poly(sp.expand(delta), _s))
+    curve = WeierstrassCurve(a2, a4, a6)
+    return tuple(sp.Poly(sp.expand(c), _s) for c in (curve.c4(), curve.c6(), curve.discriminant()))
 
 
 def _model_family19(t):
@@ -258,9 +254,6 @@ class JPair:
             self.rational_part - self.radical_coeff * root,
         )
 
-    def is_rational(self):
-        return self.rational_values() is not None
-
 
 def j_invariants_pair(t):
     """{64(512 t^2 - 414 t + 27 +- 2 sqrt(t(t-1)) (256 t - 81))} exactly."""
@@ -280,8 +273,6 @@ def j_match_check(field, t, S):
     t is an exact rational, S an element with S^2 = (t-1)/t; the radical
     sqrt(t(t-1)) is realised as t*S.
     """
-    from ..ecount import e1_e2
-
     t = Fraction(t)
     t_mod = field.from_rational(t)
     e1, e2 = e1_e2(t_mod, S, field)

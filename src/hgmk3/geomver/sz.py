@@ -1,8 +1,10 @@
 """Probabilistic verification of the map catalog and the exact-parameter checks.
 
-verify_map samples a fresh prime and point per trial, solves the entry's
-constraints with modular square roots, pushes through the map and requires all
-target equations to vanish.  A wrong map of cleared total degree D slips past
+Every Schwartz-Zippel run goes through `_sample`.  Each trial draws a fresh
+prime and the source's free values, computes its derived values, solves its
+constraints with modular square roots, pushes the point through one map (a
+catalog entry) or through several in turn (the psi chain), and requires every
+target equation to vanish.  A wrong map of cleared total degree D slips past
 one trial with probability at most D / 2^(bits-1); the per-run bound reported
 is that value to the power of the completed trials.
 """
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import sympy as sp
 
+from ..ecount import WeierstrassCurve
 from .maps import CATALOG, PSI_CHAIN, RationalMap
 from .modeval import SampleDegenerateError, eval_mod, random_prime, solve_step
 
@@ -37,11 +40,16 @@ class MapReport:
     attempts: int = 0
     per_trial_bound: float = 0.0
     miss_probability_bound: float = 0.0
-    witness: dict = None  # free-variable values of the first failing trial
+    witness: dict = None  # sampled values and prime of the first failing trial
 
 
-def _run_entry(entry: RationalMap, trials, bits, rng):
-    steps = entry.compiled_steps()
+def _sample(name, source: RationalMap, push, targets, degree, trials, bits, rng):
+    """Schwartz-Zippel trials: sample `source`, push(values, p), test `targets`.
+
+    A trial whose denominators vanish or whose constraint has no root mod p is
+    resampled; more than 90% such attempts raise SampleDegenerateError.
+    """
+    steps = source.compiled_steps()
     done = 0
     failures = 0
     attempts = 0
@@ -49,31 +57,25 @@ def _run_entry(entry: RationalMap, trials, bits, rng):
     while done < trials:
         attempts += 1
         if attempts > 10 * trials and done < attempts // 10:
-            raise SampleDegenerateError(
-                f"{entry.name}: more than 90% of samples degenerate"
-            )
+            raise SampleDegenerateError(f"{name}: more than 90% of samples degenerate")
         p = random_prime(rng, bits)
-        values = {sym: rng.randrange(1, p) for sym in entry.free}
+        values = {sym: rng.randrange(1, p) for sym in source.free}
         try:
-            for sym, expr in entry.derived:
+            for sym, expr in source.derived:
                 values[sym] = eval_mod(expr, values, p)
             for coeffs, var in steps:
                 values[var] = solve_step(coeffs, values, p, rng)
-            out = dict(values)
-            for sym, expr in entry.outputs:
-                out[sym] = eval_mod(expr, values, p)
-            for eq in entry.target_eqs:
-                if eval_mod(eq, out, p) != 0:
-                    failures += 1
-                    if witness is None:
-                        witness = {str(k): v for k, v in values.items()} | {"prime": p}
-                    break
+            image = push(values, p)
+            if any(eval_mod(eq, image, p) != 0 for eq in targets):
+                failures += 1
+                if witness is None:
+                    witness = {str(k): v for k, v in values.items()} | {"prime": p}
             done += 1
         except SampleDegenerateError:
             continue
-    per_trial = entry.degree_bound() / 2.0 ** (bits - 1)
+    per_trial = degree / 2.0 ** (bits - 1)
     return MapReport(
-        name=entry.name,
+        name=name,
         trials=done,
         passed=failures == 0,
         failures=failures,
@@ -83,6 +85,25 @@ def _run_entry(entry: RationalMap, trials, bits, rng):
         miss_probability_bound=min(1.0, per_trial) ** max(done, 1),
         witness=witness,
     )
+
+
+def _through(links):
+    """push(values, p) that applies each link's outputs in turn."""
+
+    def push(values, p):
+        for link in links:
+            out = dict(values)
+            for sym, expr in link.outputs:
+                out[sym] = eval_mod(expr, values, p)
+            values = out
+        return values
+
+    return push
+
+
+def _run_entry(entry: RationalMap, trials, bits, rng):
+    return _sample(entry.name, entry, _through([entry]), entry.target_eqs,
+                   entry.degree_bound(), trials, bits, rng)
 
 
 def verify_map(name, trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
@@ -105,50 +126,14 @@ def verify_all_maps(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT
 
 def verify_chain_psi(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
     """Per-link reports for psi8..psi2 plus the end-to-end composition."""
-    reports = [verify_map(n, trials, prime_bits, seed) for n in PSI_CHAIN]
-    rng = random.Random(f"{seed}:psi_chain")
-    first = CATALOG["psi8"]
-    links = [CATALOG[n] for n in PSI_CHAIN]
-    done = 0
-    failures = 0
-    attempts = 0
-    witness = None
     from .maps import inose_eq, u1, x, y
 
-    target = inose_eq(x, y, u1)
-    while done < trials:
-        attempts += 1
-        if attempts > 10 * trials and done < attempts // 10:
-            raise SampleDegenerateError("psi chain: more than 90% of samples degenerate")
-        p = random_prime(rng, prime_bits)
-        values = {sym: rng.randrange(1, p) for sym in first.free}
-        try:
-            for coeffs, var in first.compiled_steps():
-                values[var] = solve_step(coeffs, values, p, rng)
-            for link in links:
-                out = dict(values)
-                for sym, expr in link.outputs:
-                    out[sym] = eval_mod(expr, values, p)
-                values = out
-            if eval_mod(target, values, p) != 0:
-                failures += 1
-                if witness is None:
-                    witness = {"prime": p}
-            done += 1
-        except SampleDegenerateError:
-            continue
-    deg = max(link.degree_bound() for link in links)
-    per_trial = deg / 2.0 ** (prime_bits - 1)
-    reports.append(MapReport(
-        name="psi_chain",
-        trials=done,
-        passed=failures == 0,
-        failures=failures,
-        resamples=attempts - done,
-        attempts=attempts,
-        per_trial_bound=per_trial,
-        miss_probability_bound=min(1.0, per_trial) ** max(done, 1),
-        witness=witness,
+    reports = [verify_map(n, trials, prime_bits, seed) for n in PSI_CHAIN]
+    links = [CATALOG[n] for n in PSI_CHAIN]
+    reports.append(_sample(
+        "psi_chain", links[0], _through(links), (inose_eq(x, y, u1),),
+        max(link.degree_bound() for link in links),
+        trials, prime_bits, random.Random(f"{seed}:psi_chain"),
     ))
     return reports
 
@@ -264,50 +249,38 @@ def x0_2_checks(n_random=60, seed=DEFAULT_SEED):
     """
     rng = random.Random(f"{seed}:x0_2")
     s, aa, bb = sp.symbols("s aa bb")
+    p = random_prime(rng, DEFAULT_BITS)
+
+    def vanishes(expr, syms):
+        """The numerator of expr vanishes at n_random random points mod p."""
+        num = sp.expand(sp.fraction(sp.together(expr))[0])
+        return all(
+            eval_mod(num, {sym: rng.randrange(2, p) for sym in syms}, p) == 0
+            for _ in range(n_random)
+        )
 
     def j_model(a2, a4):
-        c4 = (4 * a2) ** 2 - 24 * (2 * a4)
-        delta = -((4 * a2) ** 2) * (-(a4**2)) - 8 * (2 * a4) ** 3
-        return c4**3 / delta
+        return WeierstrassCurve(a2, a4, 0).j_invariant()
 
     j_of_u = lambda uu: (uu + 256) ** 3 / uu**2
     jE1 = j_model(-2, sp.Rational(1, 2) * (1 - s))
     jE2 = j_model(4, 2 * (1 + s))
     u_plus = -64 * (1 + s) / (-1 + s)
     u_minus = -64 * (-1 + s) / (1 + s)
-    checks = {
-        "j(u+) = j(E2 model)": j_of_u(u_plus) - jE2,
-        "j(u-) = j(E1 model)": j_of_u(u_minus) - jE1,
+    detail = {
+        "j(u+) = j(E2 model)": vanishes(j_of_u(u_plus) - jE2, (s,)),
+        "j(u-) = j(E1 model)": vanishes(j_of_u(u_minus) - jE1, (s,)),
     }
-    detail = {}
-    ok = True
-    p = random_prime(rng, DEFAULT_BITS)
-    for name, eq in checks.items():
-        num, _ = sp.fraction(sp.together(eq))
-        num = sp.expand(num)
-        good = all(
-            eval_mod(num, {s: rng.randrange(2, p)}, p) == 0 for _ in range(n_random)
-        )
-        detail[name] = good
-        ok &= good
     # u, s, t in terms of (a, b) on y^2 = x^3 + a x^2 + b x
     u_ab = 256 * bb / (aa**2 - 4 * bb)
-    j_ab = j_model(aa, bb)
-    num, _ = sp.fraction(sp.together(j_of_u(u_ab) - j_ab))
-    detail["j(u(a,b)) = j(curve)"] = all(
-        eval_mod(sp.expand(num), {aa: rng.randrange(2, p), bb: rng.randrange(2, p)}, p) == 0
-        for _ in range(n_random)
-    )
-    ok &= detail["j(u(a,b)) = j(curve)"]
+    detail["j(u(a,b)) = j(curve)"] = vanishes(j_of_u(u_ab) - j_model(aa, bb), (aa, bb))
     s_ab = (-(aa**2) + 8 * bb) / aa**2
     t_ab = aa**4 / (16 * (aa**2 - 4 * bb) * bb)
     num, _ = sp.fraction(sp.together(s_ab**2 - (t_ab - 1) / t_ab))
     detail["s(a,b)^2 = (t-1)/t"] = sp.expand(num) == 0
-    ok &= detail["s(a,b)^2 = (t-1)/t"]
     # exact rational spot check; (a, b) = (2, 1) degenerates (a^2 = 4b), use (3, 1)
     av, bv = 3, 1
     sv = Fraction(-av**2 + 8 * bv, av**2)
     tv = Fraction(av**4, 16 * (av**2 - 4 * bv) * bv)
     detail["exact (a,b)=(3,1)"] = sv * sv == (tv - 1) / tv
-    ok &= detail["exact (a,b)=(3,1)"]
-    return ExactCheckReport("x0_2", bool(ok), detail)
+    return ExactCheckReport("x0_2", all(detail.values()), detail)

@@ -182,14 +182,6 @@ def _s_support(datum, N):
     return np.array(ms, dtype=np.int64), np.array(s, dtype=np.int64)
 
 
-def _s_of_m_array(datum, q):
-    """s(m) for every m in [0, q-2]."""
-    out = np.zeros(q - 1, dtype=np.int64)
-    ms, s = _s_support(datum, q - 1)
-    out[ms] = s
-    return out
-
-
 # m values per fill step: the int64 index and gathered-table temporaries stay near 1.5 MB.
 _FILL_BLOCK = 1 << 16
 

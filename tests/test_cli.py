@@ -224,6 +224,30 @@ def test_env_seed_and_precision(monkeypatch):
         assert "--precision" not in verb._option_string_actions, verb.prog
 
 
+def test_sweep_verbs_take_no_seed():
+    # sweeps draw nothing at random; only the sampling verbs take --seed
+    for which in ("bcm", "lemma", "trace", "main", "all"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", which, "--q", "7", "--t", "2", "--seed", "3"])
+        assert exc.value.code == 2
+    code, _ = run(["verify", "qt", "--trials", "2", "--seed", "3"])
+    assert code == 0
+
+
+def test_sweep_keeps_one_field_alive():
+    import gc
+    import weakref
+
+    from hgmk3.cli import _field_for
+
+    first = weakref.ref(_field_for(5))
+    code, _ = run(["verify", "all", "--q", "5,7", "--t", "2"])
+    assert code == 0
+    gc.collect()
+    assert first() is None
+    assert _field_for(7).gauss_tables  # the latest field keeps its table
+
+
 def _all_subparsers(parser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):

@@ -81,6 +81,19 @@ def test_wrong_map_is_detected():
     assert not r.passed and r.witness is not None
 
 
+def test_broken_chain_link_is_detected(monkeypatch):
+    import dataclasses
+
+    (sym, expr), *rest = CATALOG["psi4"].outputs
+    broken = dataclasses.replace(CATALOG["psi4"], outputs=((sym, expr + 1), *rest))
+    monkeypatch.setitem(CATALOG, "psi4", broken)
+    chain = verify_chain_psi(trials=4)[-1]
+    assert chain.name == "psi_chain" and not chain.passed
+    assert chain.failures == chain.trials == 4
+    # the witness carries psi8's sampled values as well as the prime
+    assert {"u", "v", "t", "prime"} <= set(chain.witness)
+
+
 def test_si_parameters_exact():
     r = verify_si_parameters(n_random=25)
     assert r.passed, r.detail
