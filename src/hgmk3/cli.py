@@ -3,8 +3,8 @@ and CM table checks, with JSON-lines or CSV reports.
 
 Records are sorted by (check, q, t, name) and carry first-class skip reasons,
 so grid coverage is auditable and reruns of the same command are byte-identical
-(the sampling verbs draw from --seed or HGMK3_SEED).
-Exit codes: 0 all pass, 1 any failure, 2 usage error.
+(only `verify maps|qt` and `cm verify` sample, from --seed or HGMK3_SEED).
+Exit codes: 0 all pass, 1 any failure, 2 usage error (q not an odd prime power).
 """
 
 from __future__ import annotations
@@ -124,6 +124,25 @@ def odd_prime_powers(lo, hi):
     return tuple(out)
 
 
+def _prime_power(q):
+    """(p, n) with q = p^n for an odd prime p; a UsageError for any other q."""
+    fac = factorint(q) if q >= 3 else {}
+    if q % 2 == 0 or len(fac) != 1:
+        raise UsageError(f"q = {q} is not an odd prime power")
+    return next(iter(fac.items()))
+
+
+def parse_q_list(text):
+    """A comma-separated list of odd prime powers."""
+    try:
+        q_list = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"bad q list {text!r}") from None
+    for q in q_list:
+        _prime_power(q)
+    return q_list
+
+
 def parse_rational_list(text):
     try:
         return tuple(Fraction(part) for part in text.split(",") if part.strip())
@@ -136,7 +155,7 @@ def _field_for(q, latest={}):
     from .ffield import field_new
 
     if q not in latest:
-        p, n = next(iter(factorint(q).items()))
+        p, n = _prime_power(q)
         latest.clear()
         latest[q] = field_new(p, n)
     return latest[q]
@@ -299,16 +318,9 @@ def cmd_count_surface(args, out):
 
 
 def _sweep_config_from_args(args, checks):
-    if args.q:
-        q_list = tuple(int(x) for x in args.q.split(","))
-        for q in q_list:
-            if len(factorint(q)) != 1 or q % 2 == 0:
-                raise UsageError(f"q = {q} is not an odd prime power")
-    else:
-        q_list = odd_prime_powers(args.pmin, args.pmax)
     return SweepConfig(
         checks=checks,
-        q_list=q_list,
+        q_list=parse_q_list(args.q) if args.q else odd_prime_powers(args.pmin, args.pmax),
         t_list=parse_rational_list(args.t),
         fmt=args.format,
         jobs=args.jobs,
@@ -325,8 +337,12 @@ def cmd_verify_curve_theorem(args, out):
     from .charsum import get_character_system
     from .ecount import verify_curve_trace_theorem
 
+    q_list = parse_q_list(args.q)
+    for q in q_list:
+        if q % 3 == 0:
+            raise UsageError(f"q = {q}: the theorem needs gcd(q, 6) = 1")
     records = []
-    for q in (int(x) for x in args.q.split(",")):
+    for q in q_list:
         field = _field_for(q)
         cs = get_character_system(field)
         for a in range(1, q):
@@ -364,7 +380,7 @@ def cmd_verify_maps(args, out):
 def cmd_verify_si_params(args, out):
     from .geomver import verify_si_parameters
 
-    rep = verify_si_parameters(seed=_env_seed(args))
+    rep = verify_si_parameters()
     _jdump({"check": rep.name, "pass": rep.passed, "h=1": rep.detail.get("h=1")}, out)
     return 0 if rep.passed else 1
 
@@ -381,7 +397,7 @@ def cmd_verify_qt(args, out):
 def cmd_verify_x0_2(args, out):
     from .geomver import x0_2_checks
 
-    rep = x0_2_checks(seed=_env_seed(args))
+    rep = x0_2_checks()
     _jdump({"check": rep.name, "pass": rep.passed,
             "identities": {k: bool(v) for k, v in rep.detail.items()}}, out)
     return 0 if rep.passed else 1
@@ -545,7 +561,6 @@ def build_parser():
     v.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
     v.set_defaults(func=cmd_verify_maps)
     v = vsub.add_parser("si-params")
-    v.add_argument("--seed", type=int, default=None)
     v.set_defaults(func=cmd_verify_si_params)
     v = vsub.add_parser("qt")
     v.add_argument("--trials", type=int, default=100)
@@ -553,7 +568,6 @@ def build_parser():
     v.add_argument("--seed", type=int, default=None)
     v.set_defaults(func=cmd_verify_qt)
     v = vsub.add_parser("x0-2")
-    v.add_argument("--seed", type=int, default=None)
     v.set_defaults(func=cmd_verify_x0_2)
 
     p = sub.add_parser("fibration")

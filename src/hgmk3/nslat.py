@@ -9,10 +9,10 @@ two sections O, T with T.O = 0 encoded explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy as sp
+from itertools import combinations
 
 
 class LatticeError(ValueError):
@@ -40,18 +40,16 @@ class GramLattice:
     def rank(self):
         return len(self.entries)
 
-    def matrix(self):
-        return sp.Matrix(self.rank, self.rank, lambda i, j: sp.Rational(self.entries[i][j]))
+    def _pivots(self):
+        """Diagonal of an exact congruence diagonalisation; 0 marks a degenerate direction.
 
-    def det(self):
-        d = self.matrix().det()
-        return int(d) if d.is_integer else Fraction(int(sp.fraction(d)[0]), int(sp.fraction(d)[1]))
-
-    def signature(self):
-        """(n_plus, n_minus) by exact congruence diagonalisation; zero means degenerate."""
+        Swaps, row/column additions and eliminations are congruences by
+        matrices of determinant +-1, so the pivots keep both the determinant
+        (their product) and the inertia (their signs).
+        """
         m = [[Fraction(x) for x in row] for row in self.entries]
         n = len(m)
-        plus = minus = 0
+        pivots = []
         for i in range(n):
             if m[i][i] == 0:
                 pivot = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
@@ -63,16 +61,14 @@ class GramLattice:
                 else:
                     j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
                     if j is None:
-                        continue  # zero row: degenerate direction
+                        pivots.append(0)  # zero row: degenerate direction
+                        continue
                     for k in range(n):
                         m[i][k] += m[j][k]
                     for k in range(n):
                         m[k][i] += m[k][j]
             d = m[i][i]
-            if d > 0:
-                plus += 1
-            else:
-                minus += 1
+            pivots.append(d)
             for j in range(i + 1, n):
                 if m[j][i] != 0:
                     c = m[j][i] / d
@@ -80,7 +76,17 @@ class GramLattice:
                         m[j][k] -= c * m[i][k]
                     for k in range(n):
                         m[k][j] -= c * m[k][i]
-        return plus, minus
+        return pivots
+
+    def det(self):
+        """The product of the pivots, an int when integral."""
+        d = math.prod(self._pivots(), start=Fraction(1))
+        return int(d) if d.denominator == 1 else d
+
+    def signature(self):
+        """(n_plus, n_minus), the signs of the pivots; a zero pivot is degenerate."""
+        pivots = self._pivots()
+        return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
 
     def is_even(self):
         return all(Fraction(self.entries[i][i]) % 2 == 0 for i in range(self.rank))
@@ -95,11 +101,11 @@ def standard_lattice(name):
         return GramLattice(((0, 1), (1, 0)), "U")
     if name == "E8(-1)":
         # E8 Cartan matrix, negated; nodes 1-7 a chain, node 8 attached to node 5
-        cartan = sp.Matrix(8, 8, lambda i, j: 2 if i == j else 0)
-        chain = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
-        for i, j in chain:
-            cartan[i, j] = cartan[j, i] = -1
-        return GramLattice(tuple(tuple(-cartan[i, j] for j in range(8)) for i in range(8)), "E8(-1)")
+        edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)}
+        return GramLattice(tuple(
+            tuple(-2 if i == j else int((i, j) in edges or (j, i) in edges) for j in range(8))
+            for i in range(8)
+        ), "E8(-1)")
     if name == "A1":
         return GramLattice(((-2,),), "A1")
     if name.startswith("<") and name.endswith(">"):
@@ -369,6 +375,15 @@ def ns_cm_gram(profile):
 # orthogonal complements in U^2
 # ---------------------------------------------------------------------------
 
+def _u2(x, y):
+    """The form of U^2 = U + U in the basis (alpha0, alpha1, beta0, beta1)."""
+    return x[0] * y[1] + x[1] * y[0] + x[2] * y[3] + x[3] * y[2]
+
+
+def _gram2(x, y):
+    return ((_u2(x, x), _u2(x, y)), (_u2(y, x), _u2(y, y)))
+
+
 def u2_complement(a, b, c):
     """Orthogonal complement of [[2a, b], [b, 2c]] embedded in U^2.
 
@@ -377,36 +392,24 @@ def u2_complement(a, b, c):
     equals [[-2a, b], [b, -2c]].
     """
     a, b, c = int(a), int(b), int(c)
-    u2 = direct_sum(standard_lattice("U"), standard_lattice("U")).matrix()
-    phi_x = sp.Matrix([a, 1, b, 0])
-    phi_y = sp.Matrix([0, 0, c, 1])
-    got = sp.Matrix([
-        [(phi_x.T * u2 * phi_x)[0], (phi_x.T * u2 * phi_y)[0]],
-        [(phi_y.T * u2 * phi_x)[0], (phi_y.T * u2 * phi_y)[0]],
-    ])
-    if got != sp.Matrix([[2 * a, b], [b, 2 * c]]):
+    phi_x = (a, 1, b, 0)
+    phi_y = (0, 0, c, 1)
+    if _gram2(phi_x, phi_y) != ((2 * a, b), (b, 2 * c)):
         raise LatticeError("embedding is not isometric")
-    v1 = sp.Matrix([-a, 1, 0, 0])
-    v2 = sp.Matrix([b, 0, c, -1])
+    v1 = (-a, 1, 0, 0)
+    v2 = (b, 0, c, -1)
     for v in (v1, v2):
-        if (phi_x.T * u2 * v)[0] != 0 or (phi_y.T * u2 * v)[0] != 0:
+        if _u2(phi_x, v) != 0 or _u2(phi_y, v) != 0:
             raise LatticeError("complement basis is not orthogonal to the image")
     # saturation: gcd of the 2x2 minors of the stacked basis is 1
-    import math
-    from itertools import combinations
-
-    k = sp.Matrix([list(v1.T), list(v2.T)])
-    minors = [abs(int(k[:, cols].det())) for cols in combinations(range(4), 2)]
+    minors = [v1[i] * v2[j] - v1[j] * v2[i] for i, j in combinations(range(4), 2)]
     if math.gcd(*minors) != 1:
         raise LatticeError("complement basis is not saturated")
-    gram = sp.Matrix([
-        [(v1.T * u2 * v1)[0], (v1.T * u2 * v2)[0]],
-        [(v2.T * u2 * v1)[0], (v2.T * u2 * v2)[0]],
-    ])
-    expected = sp.Matrix([[-2 * a, b], [b, -2 * c]])
+    gram = _gram2(v1, v2)
+    expected = ((-2 * a, b), (b, -2 * c))
     if gram != expected:
-        raise LatticeError(f"complement Gram {gram.tolist()} != {expected.tolist()}")
-    return GramLattice(tuple(tuple(int(x) for x in gram.row(i)) for i in range(2)))
+        raise LatticeError(f"complement Gram {gram} != {expected}")
+    return GramLattice(gram)
 
 
 # ---------------------------------------------------------------------------

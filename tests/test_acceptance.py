@@ -169,7 +169,7 @@ def test_criterion_7_map_catalog():
     reports = verify_all_maps(trials=100, prime_bits=62)
     reports += verify_chain_psi(trials=100, prime_bits=62)[-1:]
     ok = all(r.passed and r.trials == 100 for r in reports)
-    si = verify_si_parameters(n_random=100)
+    si = verify_si_parameters()
     ok &= si.passed
     ok &= si.detail["h=1"] == {"a": "-40/3", "b": "448/27", "c": "-10/3", "d": "-56/27", "t": "1"}
     announce(7, "map catalog at 100 trials, 62-bit primes; exact h=1 system", ok,

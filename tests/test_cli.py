@@ -230,8 +230,29 @@ def test_sweep_verbs_take_no_seed():
         with pytest.raises(SystemExit) as exc:
             main(["verify", which, "--q", "7", "--t", "2", "--seed", "3"])
         assert exc.value.code == 2
+    # si-params and x0-2 are exact proofs, so they take no seed either
+    for which in ("si-params", "x0-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", which, "--seed", "1"])
+        assert exc.value.code == 2
     code, _ = run(["verify", "qt", "--trials", "2", "--seed", "3"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "curve-theorem", "--q", "35"],  # not a prime power
+    ["verify", "curve-theorem", "--q", "1"],
+    ["verify", "curve-theorem", "--q", "9"],  # gcd(q, 6) != 1
+    ["verify", "curve-theorem", "--q", "15"],
+    ["verify", "bcm", "--q", "7,abc", "--t", "2"],
+    ["verify", "bcm", "--q=-7", "--t", "2"],
+    ["field-info", "--p", "15"],  # was F_3, silently
+    ["hgsum", "--alpha", "1/2", "--beta", "0", "--p", "35", "--t", "2"],  # was F_5
+    ["gauss-check", "--p", "3", "--n", "0"],
+])
+def test_bad_q_is_a_usage_error(argv):
+    code, out = run(argv)
+    assert code == 2 and out == ""
 
 
 def test_sweep_keeps_one_field_alive():

@@ -95,7 +95,7 @@ def test_broken_chain_link_is_detected(monkeypatch):
 
 
 def test_si_parameters_exact():
-    r = verify_si_parameters(n_random=25)
+    r = verify_si_parameters()
     assert r.passed, r.detail
     assert r.detail["h=1"]["a"] == "-40/3"
     assert r.detail["h=1"]["b"] == "448/27"
@@ -105,8 +105,64 @@ def test_si_parameters_exact():
 
 
 def test_x0_2_checks():
-    r = x0_2_checks(n_random=20)
+    r = x0_2_checks()
     assert r.passed, r.detail
+    assert list(r.detail) == [
+        "j(u+) = j(E2 model)", "j(u-) = j(E1 model)", "j(u(a,b)) = j(curve)",
+        "s(a,b)^2 = (t-1)/t", "exact (a,b)=(3,1)",
+    ]
+
+
+def test_si_parameters_detects_a_perturbed_parametrization(monkeypatch):
+    from hgmk3.geomver import sz
+
+    exact = sz._si_sym
+
+    def perturbed():
+        out = exact()
+        a, param = out[2], out[7]
+        param[a] = 2 * param[a]
+        return out
+
+    monkeypatch.setattr(sz, "_si_sym", perturbed)
+    r = verify_si_parameters()
+    assert not r.passed
+    # a enters equations 1 and 4 of the system and the g-form of a
+    assert r.detail["failed"] == ["system eq 1", "system eq 4", "a(g=h^2)"]
+
+
+def test_x0_2_detects_a_perturbed_u_plus(monkeypatch):
+    from hgmk3.geomver import sz
+
+    exact = sz._x0_2_sym
+
+    def perturbed():
+        s, aa, bb, param = exact()
+        param["u+"] = 2 * param["u+"]
+        return s, aa, bb, param
+
+    monkeypatch.setattr(sz, "_x0_2_sym", perturbed)
+    r = x0_2_checks()
+    assert not r.passed
+    assert [name for name, ok in r.detail.items() if not ok] == ["j(u+) = j(E2 model)"]
+
+
+@pytest.mark.parametrize("check", [verify_si_parameters, x0_2_checks])
+def test_exact_checks_draw_nothing_at_random(check, monkeypatch):
+    import inspect
+    import random
+
+    from hgmk3.geomver import sz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact checks must not sample")
+
+    assert not inspect.signature(check).parameters
+    state = random.getstate()
+    monkeypatch.setattr(sz, "random_prime", refuse)
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    assert check().passed
+    assert random.getstate() == state
 
 
 def test_modular_j_spot_values():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from hgmk3.ffield import field_new, quadratic_character
+from hgmk3.hyperg import hg_H2
 from hgmk3.k3count import (
     BadReductionError,
     count_affine,
@@ -171,6 +172,30 @@ def test_main_identity_spot_value():
     assert live and all(c["h3"] == -3 for c in live)
     signs = {(c["S"], c["sign"]) for c in live}
     assert len(signs) == 4  # both roots, both signs
+
+
+def test_main_identity_evaluates_h2_once_per_z(monkeypatch):
+    # z depends only on sign * S: the four cells of a t share two values of z
+    import hgmk3.k3count as k3
+
+    calls = []
+
+    def counting(field, z, cs=None):
+        calls.append(z.code)
+        return hg_H2(field, z, cs=cs)
+
+    monkeypatch.setattr(k3, "hg_H2", counting)
+    checked = 0
+    for q in (7, 11, 13, 17, 19):
+        f = field_new(q)
+        for t in (2, 3, F(5, 2), -1, 7, 10):
+            calls.clear()
+            r = verify_main_identity(f, t)
+            live = [c for c in r.detail.get("cells", []) if "skipped" not in c]
+            if len(live) == 4:
+                assert r.passed and len(calls) == len(set(calls)) == 2, (q, t)
+                checked += 1
+    assert checked >= 5
 
 
 def test_main_identity_skips():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmk3.nslat import (
+    GramLattice,
     LatticeError,
     SectionProfile,
     curve_graph_gram,
@@ -205,3 +206,46 @@ def test_signature_conventions():
         assert tr.signature() == (2, 0)
     generic_tr = direct_sum(standard_lattice("U"), standard_lattice("<4>"))
     assert generic_tr.signature() == (2, 1)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Symmetric integer matrices up to 6 x 6, some with zero diagonal, some singular."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(min_value=-5, max_value=5))
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        # repeat row and column i as j: a singular matrix
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            m[j][k] = m[i][k]
+        for k in range(n):
+            m[k][j] = m[k][i]
+    return m
+
+
+@given(symmetric_int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_and_signature_match_references(m):
+    import numpy as np
+    import sympy as sp
+
+    lat = GramLattice(tuple(tuple(row) for row in m))
+    d = lat.det()
+    assert type(d) is int and d == sp.Matrix(m).det()
+    eig = np.linalg.eigvalsh(np.array(m, dtype=float))
+    tol = 1e-9 * max(1.0, float(np.abs(eig).max()))
+    assert lat.signature() == (int((eig > tol).sum()), int((eig < -tol).sum()))
+
+
+def test_det_of_a_fractional_gram():
+    lat = GramLattice(((F(1, 2), 1), (1, F(3, 4))))
+    assert lat.det() == F(-5, 8)
+    assert lat.signature() == (1, 1)
+    assert GramLattice(((0, 0), (0, 0))).det() == 0
+    assert GramLattice(((0, 0), (0, 0))).signature() == (0, 0)
