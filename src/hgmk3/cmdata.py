@@ -15,8 +15,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from importlib import resources
 
-from sympy import factorint, isprime, jacobi_symbol
+from sympy import Poly, Symbol, factorint, isprime, jacobi_symbol
 
+from .ffield import DomainError
 from .geomver import j_invariants_pair
 
 FACTOR_LIMIT = 10**6
@@ -102,7 +103,7 @@ def classify_t(t):
     """'cm_rational_j' on S1, 'cm_quadratic_j' on S2, else 'generic'."""
     t = Fraction(t)
     if t == 0:
-        raise ValueError("t = 0")
+        raise DomainError("t = 0")
     if t in s1_values():
         return "cm_rational_j"
     if t in s2_values():
@@ -155,24 +156,23 @@ def verify_quadratic_cm():
     return out
 
 
-def verify_classification_consistency(samples=50, seed=20259):
-    """Generic t never lands on the thirteen rational CM j values."""
-    import random
+def verify_classification_consistency():
+    """No t != 0 outside S1 has one of the thirteen rational CM j in its pair.
 
-    rng = random.Random(f"{seed}:cm_classify")
-    j13 = set(rational_cm_j_list())
-    special = set(s1_values()) | set(s2_values())
-    checked = 0
-    while checked < samples:
-        t = Fraction(rng.randrange(-300, 300), rng.randrange(1, 300))
-        if t == 0 or t in special:
-            continue
-        pair = j_invariants_pair(t)
-        values = pair.rational_values()
-        if values is not None and any(v.denominator == 1 and int(v) in j13 for v in values):
-            return CMCheck(t, False, {"pair": values})
-        checked += 1
-    return CMCheck(Fraction(0), True, {"samples": samples})
+    The pair of t is {A +- B sqrt(t(t-1))} with A = 64(512t^2 - 414t + 27) and
+    B = 128(256t - 81) (`j_invariants_pair`), so j is in it iff
+    (j - A)^2 = B^2 t(t-1): a cubic in t, whose rational roots are all found.
+    """
+    t = Poly(Symbol("t"))
+    A = 64 * (512 * t**2 - 414 * t + 27)
+    B = 128 * (256 * t - 81)
+    s1 = set(s1_values())
+    for j in rational_cm_j_list():
+        for root in ((j - A) ** 2 - B**2 * t * (t - 1)).ground_roots():
+            r = Fraction(int(root.p), int(root.q))
+            if r != 0 and r not in s1:
+                return CMCheck(r, False, {"j": j})
+    return CMCheck(Fraction(0), True)
 
 
 @dataclass
@@ -196,7 +196,7 @@ def cm_trace_survey(t, p_max, p_min=3):
 
     t = Fraction(t)
     if classify_t(t) == "generic":
-        raise ValueError(f"t = {t} is not a rank-20 parameter")
+        raise DomainError(f"t = {t} is not a rank-20 parameter")
     D = chi_discriminant(t)
     rows = []
     for p in range(max(3, p_min), p_max + 1):

@@ -4,7 +4,7 @@ Catalog expressions are sympy trees with Rational coefficients; sampling a map
 means picking a random prime p of a requested bit size, random values for the
 free variables, solving each constraint (degree <= 2) with modular square
 roots, and pushing values through the tree.  Primes come deterministically
-from the run seed.
+from the run seed and are 3 mod 4, so a square root is one exponentiation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 import sympy as sp
-from sympy.ntheory.residue_ntheory import sqrt_mod as _sympy_sqrt_mod
 
 
 class SampleDegenerateError(ArithmeticError):
@@ -20,9 +19,9 @@ class SampleDegenerateError(ArithmeticError):
 
 
 def random_prime(rng: random.Random, bits: int) -> int:
-    """Deterministic random prime with the top bit set."""
+    """Deterministic random prime p = 3 mod 4 with the top bit set."""
     while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 3
         if sp.isprime(cand):
             return cand
 
@@ -70,13 +69,10 @@ def eval_mod(expr, values, p):
 
 
 def sqrt_mod(a, p):
-    """A square root of a mod p, or None when a is a nonresidue."""
+    """A square root of a mod a prime p = 3 mod 4, or None when a is a nonresidue."""
     a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    return int(_sympy_sqrt_mod(a, p))
+    root = pow(a, (p + 1) // 4, p)
+    return root if root * root % p == a else None
 
 
 def solve_step(coeffs, values, p, rng):

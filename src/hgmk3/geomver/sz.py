@@ -1,13 +1,14 @@
 """Probabilistic verification of the map catalog; exact proofs of the parameter
 and modular-curve identities.
 
-Every Schwartz-Zippel run goes through `_sample`.  Each trial draws a fresh
-prime and the source's free values, computes its derived values, solves its
-constraints with modular square roots, pushes the point through one map (a
+Every Schwartz-Zippel run goes through `_sample`.  Each trial draws one prime
+p = 3 mod 4 and the source's free values, computes its derived values, solves
+its constraints with modular square roots, pushes the point through one map (a
 catalog entry) or through several in turn (the psi chain), and requires every
-target equation to vanish.  A wrong map of cleared total degree D slips past
-one trial with probability at most D / 2^(bits-1); the per-run bound reported
-is that value to the power of the completed trials.
+target equation to vanish.  A degenerate point is redrawn under the trial's
+prime, so a run of n trials draws exactly n primes.  A wrong map of cleared
+total degree D slips past one trial with probability at most D / 2^(bits-1);
+the per-run bound reported is that value to the power of the completed trials.
 
 The Shioda-Inose parameter system and the X_0(2) identities are closed forms
 over Q, so `_is_zero` proves each one by cancelling it to 0 as a rational
@@ -51,8 +52,8 @@ class MapReport:
 def _sample(name, source: RationalMap, push, targets, degree, trials, bits, rng):
     """Schwartz-Zippel trials: sample `source`, push(values, p), test `targets`.
 
-    A trial whose denominators vanish or whose constraint has no root mod p is
-    resampled; more than 90% such attempts raise SampleDegenerateError.
+    A point whose denominators vanish or whose constraint has no root is redrawn
+    under the trial's prime; more than 90% such attempts raise SampleDegenerateError.
     """
     steps = source.compiled_steps()
     done = 0
@@ -60,24 +61,27 @@ def _sample(name, source: RationalMap, push, targets, degree, trials, bits, rng)
     attempts = 0
     witness = None
     while done < trials:
-        attempts += 1
-        if attempts > 10 * trials and done < attempts // 10:
-            raise SampleDegenerateError(f"{name}: more than 90% of samples degenerate")
         p = random_prime(rng, bits)
-        values = {sym: rng.randrange(1, p) for sym in source.free}
-        try:
-            for sym, expr in source.derived:
-                values[sym] = eval_mod(expr, values, p)
-            for coeffs, var in steps:
-                values[var] = solve_step(coeffs, values, p, rng)
-            image = push(values, p)
-            if any(eval_mod(eq, image, p) != 0 for eq in targets):
-                failures += 1
-                if witness is None:
-                    witness = {str(k): v for k, v in values.items()} | {"prime": p}
-            done += 1
-        except SampleDegenerateError:
-            continue
+        while True:
+            attempts += 1
+            if attempts > 10 * trials and done < attempts // 10:
+                raise SampleDegenerateError(f"{name}: more than 90% of samples degenerate")
+            values = {sym: rng.randrange(1, p) for sym in source.free}
+            try:
+                for sym, expr in source.derived:
+                    values[sym] = eval_mod(expr, values, p)
+                for coeffs, var in steps:
+                    values[var] = solve_step(coeffs, values, p, rng)
+                image = push(values, p)
+                failed = any(eval_mod(eq, image, p) != 0 for eq in targets)
+                break
+            except SampleDegenerateError:
+                pass
+        if failed:
+            failures += 1
+            if witness is None:
+                witness = {str(k): v for k, v in values.items()} | {"prime": p}
+        done += 1
     per_trial = degree / 2.0 ** (bits - 1)
     return MapReport(
         name=name,

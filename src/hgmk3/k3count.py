@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsum import get_character_system
-from .ffield import FieldSpec, FqElem, ReductionError, dlog, quadratic_character, sqrt
+from .ffield import FqElem, ReductionError, dlog, quadratic_character, sqrt
 from .hyperg import hg_H2, hg_H3
 
 RESIDUAL_LIMIT = 1e-3
@@ -34,26 +34,12 @@ class BadReductionError(ReductionError):
     """Raised when t reduces to a configuration the counter does not support."""
 
 
-@dataclass(frozen=True)
-class SurfaceInstance:
-    """One (t, F_q) cell with its reduction flags."""
-
-    t: Fraction
-    field: FieldSpec
-    t_mod: FqElem = None
-    t_is_zero: bool = False
-    t_is_one: bool = False
-
-    @staticmethod
-    def make(field, t):
-        t = Fraction(t)
-        p = field.p
-        if t.numerator % p == 0 and t.denominator % p == 0:  # pragma: no cover
-            raise BadReductionError("t not in lowest terms")
-        if t.denominator % p == 0:
-            raise BadReductionError(f"denominator of t = {t} divisible by p = {p}")
-        t_mod = field.from_rational(t)
-        return SurfaceInstance(t, field, t_mod, t_mod.is_zero, t_mod == field.one())
+def _t_mod(field, t):
+    """t mod p as a field element; an error when p divides the denominator of t."""
+    t = Fraction(t)
+    if t.denominator % field.p == 0:
+        raise BadReductionError(f"denominator of t = {t} divisible by p = {field.p}")
+    return field.from_rational(t)
 
 
 @dataclass
@@ -72,7 +58,7 @@ class CheckReport:
     detail: dict = dc_field(default_factory=dict)
 
 
-def delta_if_square(field, value, tested):
+def delta_if_square(value, tested):
     """The quadratic-residue indicator: value if `tested` is a nonzero square, else 0."""
     return value if tested.e is not None and tested.e % 2 == 0 else 0
 
@@ -80,10 +66,9 @@ def delta_if_square(field, value, tested):
 def _reduce_inverse_argument(field, t):
     """1/(256 t) as a field element; error when t = 0 mod p."""
     t = Fraction(t)
-    inst = SurfaceInstance.make(field, t)
-    if inst.t_is_zero:
+    if _t_mod(field, t).is_zero:
         raise BadReductionError(f"t = {t} reduces to 0 mod {field.p}")
-    return field.from_rational(Fraction(1, 256) / t), inst
+    return field.from_rational(Fraction(1, 256) / t)
 
 
 def count_affine(field, t, mode="solved-z"):
@@ -93,7 +78,7 @@ def count_affine(field, t, mode="solved-z"):
     mode "solved-z": for each (x, y) with xy != 0 the equation is quadratic in z;
     roots counted as 1 + chi(disc) with chi(0) = 0 adding the double root once.
     """
-    a, _ = _reduce_inverse_argument(field, t)
+    a = _reduce_inverse_argument(field, t)
     q = field.q
     if mode == "naive":
         nz = np.arange(1, q, dtype=np.int32)  # nonzero codes
@@ -168,18 +153,18 @@ def _smooth_fibers_sum(field, t, r):
 
 def count_elliptic_surface(field, t):
     """|E_t(F_q)| with its per-fiber breakdown; requires t(t-1) != 0 mod p."""
-    inst = SurfaceInstance.make(field, t)
-    if inst.t_is_zero:
+    t_mod = _t_mod(field, t)
+    if t_mod.is_zero:
         raise BadReductionError(f"t = {t} reduces to 0 mod {field.p}")
-    if inst.t_is_one:
+    if t_mod == field.one():
         raise BadReductionError(
             f"t = {t} reduces to 1 mod {field.p}: fiber configuration unsupported"
         )
     q = field.q
     one = field.one()
     # nodal fibers at s = +-r, r^2 = t/(t-1) (nonzero since t != 0)
-    r = sqrt(field, inst.t_mod / (inst.t_mod - one))
-    smooth, n_smooth = _smooth_fibers_sum(field, inst.t_mod, r)
+    r = sqrt(field, t_mod / (t_mod - one))
+    smooth, n_smooth = _smooth_fibers_sum(field, t_mod, r)
     breakdown = {
         "smooth": smooth,
         "n_smooth_fibers": n_smooth,
@@ -189,7 +174,7 @@ def count_elliptic_surface(field, t):
     }
     total = smooth + 2 * (8 * q + 1) + 4 * q
     if r is not None:
-        nodal = q + 2 + delta_if_square(field, -2, field.from_int(-2))
+        nodal = q + 2 + delta_if_square(-2, field.from_int(-2))
         breakdown["nodal_pair"] = 2 * nodal
         total += 2 * nodal
     # fiber at infinity: y^2 = x^3 + x^2/4 + x/(64 t)
@@ -197,7 +182,7 @@ def count_elliptic_surface(field, t):
 
     inf_curve = WeierstrassCurve(
         one / field.from_int(4),
-        one / (field.from_int(64) * inst.t_mod),
+        one / (field.from_int(64) * t_mod),
         field.zero(),
         field,
     )
@@ -220,7 +205,7 @@ def _gauss_expression(field, t, cs=None):
     """-1/q + 1/(q(q-1)) sum_m g(4m) g(-m)^4 omega(1/(256t))^m, rounded to int."""
     if cs is None:
         cs = get_character_system(field)
-    z, _ = _reduce_inverse_argument(field, t)
+    z = _reduce_inverse_argument(field, t)
     q = field.q
     N = q - 1
     ms = np.arange(N, dtype=np.int64)
@@ -288,21 +273,21 @@ def verify_main_identity(field, t, cs=None):
     if math.gcd(q, 6) != 1:
         return CheckReport("main", q, t, skipped=True, reason="gcd(q, 6) != 1")
     try:
-        inst = SurfaceInstance.make(field, t)
+        t_mod = _t_mod(field, t)
     except BadReductionError as e:
         return CheckReport("main", q, t, skipped=True, reason=str(e))
-    if inst.t_is_zero:
+    if t_mod.is_zero:
         return CheckReport("main", q, t, skipped=True, reason="t = 0 mod p")
-    if inst.t_is_one:
+    if t_mod == field.one():
         # bad reduction of the projective surface; the trace identification fails here
         return CheckReport("main", q, t, skipped=True, reason="t = 1 mod p")
     one = field.one()
-    s2 = (inst.t_mod - one) / inst.t_mod
+    s2 = (t_mod - one) / t_mod
     S0 = sqrt(field, s2)
     if S0 is None:
         return CheckReport("main", q, t, skipped=True, reason="(t-1)/t is not a square")
     roots = [S0, -S0]
-    inv_t = one / inst.t_mod
+    inv_t = one / t_mod
     if any(one - S * S != inv_t for S in roots):
         return CheckReport("main", q, t, passed=False, reason="1 - S^2 != 1/t")
     h3 = hg_H3(field, inv_t, cs=cs)
@@ -383,12 +368,11 @@ def delta_correction(field, t):
 
     sum over smooth fibers (P^1 included) = affine count - (-2q + 4 + delta(2q+4+delta(-4,-2), t/(t-1))).
     """
-    inst = SurfaceInstance.make(field, t)
-    one = field.one()
+    t_mod = _t_mod(field, t)
     q = field.q
-    inner = delta_if_square(field, -4, field.from_int(-2))
-    ratio = inst.t_mod / (inst.t_mod - one)
-    return -2 * q + 4 + delta_if_square(field, 2 * q + 4 + inner, ratio)
+    inner = delta_if_square(-4, field.from_int(-2))
+    ratio = t_mod / (t_mod - field.one())
+    return -2 * q + 4 + delta_if_square(2 * q + 4 + inner, ratio)
 
 
 def count_quadric(field, t):

@@ -230,10 +230,10 @@ def test_sweep_verbs_take_no_seed():
         with pytest.raises(SystemExit) as exc:
             main(["verify", which, "--q", "7", "--t", "2", "--seed", "3"])
         assert exc.value.code == 2
-    # si-params and x0-2 are exact proofs, so they take no seed either
-    for which in ("si-params", "x0-2"):
+    # si-params, x0-2 and the CM classification are exact proofs, so they take no seed either
+    for argv in (["verify", "si-params"], ["verify", "x0-2"], ["cm", "verify"]):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", which, "--seed", "1"])
+            main(argv + ["--seed", "1"])
         assert exc.value.code == 2
     code, _ = run(["verify", "qt", "--trials", "2", "--seed", "3"])
     assert code == 0
@@ -253,6 +253,28 @@ def test_sweep_verbs_take_no_seed():
 def test_bad_q_is_a_usage_error(argv):
     code, out = run(argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "cm", "--pe7", "1", "--po", "1"],  # LatticeError
+    ["cm", "survey", "--t", "0"],  # DomainError
+    ["cm", "survey", "--t", "2"],
+    ["cm", "classify", "--t", "0"],
+    ["count", "surface", "--p", "7", "--t", "0"],  # ReductionError
+    ["count", "surface", "--p", "7", "--t", "1/7"],
+    ["verify", "bcm", "--q", "16777259", "--t", "2"],  # FieldConstructionError
+    ["field-info", "--p", "3", "--n", "30"],
+    ["hgsum", "--alpha", "1/3", "--beta", "0,0", "--p", "7", "--t", "2"],  # DatumError
+    ["hgsum", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "0"],  # DomainError
+    ["curve", "count", "--p", "7", "--a2", "0", "--a4", "0", "--a6", "0"],  # SingularCurveError
+    ["fibration", "profile", "--model", "inose", "--t", "0"],  # FibrationError
+    ["verify", "maps", "--only", "nosuch"],  # CatalogError
+])
+def test_domain_error_is_a_usage_error(argv, capsys):
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_sweep_keeps_one_field_alive():

@@ -71,7 +71,18 @@ def test_verify_quadratic_cm_rows():
 
 
 def test_classification_consistency_spot_check():
-    assert verify_classification_consistency(samples=50).passed
+    check = verify_classification_consistency()
+    assert check.passed, (check.t, check.detail)
+
+
+def test_classification_consistency_names_a_missing_s1_value(monkeypatch):
+    from hgmk3 import cmdata
+
+    full = cmdata.s1_values()
+    monkeypatch.setattr(cmdata, "s1_values", lambda: tuple(t for t in full if t != F(81, 32)))
+    check = verify_classification_consistency()
+    assert not check.passed
+    assert check.t == F(81, 32) and check.detail["j"] in (1728, 287496)
 
 
 def test_chi_discriminant():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hgmk3.cmdata import verify_classification_consistency
 from hgmk3.ffield import field_new, sqrt
 from hgmk3.geomver import (
     CATALOG,
@@ -44,6 +45,35 @@ def test_trial_and_bits_preconditions():
         verify_map("identity_sanity", trials=0)
     with pytest.raises(ValueError):
         verify_map("identity_sanity", prime_bits=20)
+
+
+def test_one_prime_per_trial(monkeypatch):
+    from hgmk3.geomver import modeval, sz
+
+    primes = []
+
+    def recording(rng, bits):
+        primes.append(modeval.random_prime(rng, bits))
+        return primes[-1]
+
+    monkeypatch.setattr(sz, "random_prime", recording)
+    r = verify_map("psi8", trials=20)
+    assert r.passed and r.resamples > 0  # psi8 redraws degenerate points
+    assert len(primes) == r.trials == 20
+    assert all(p % 4 == 3 and p.bit_length() == 62 for p in primes)
+
+
+@pytest.mark.parametrize("p", [103, 107, 131])
+def test_sqrt_mod_every_element(p):
+    from hgmk3.geomver.modeval import sqrt_mod
+
+    squares = {x * x % p for x in range(p)}
+    for a in range(p):
+        root = sqrt_mod(a, p)
+        if a in squares:
+            assert root * root % p == a
+        else:
+            assert root is None
 
 
 def test_determinism_same_seed():
@@ -147,7 +177,9 @@ def test_x0_2_detects_a_perturbed_u_plus(monkeypatch):
     assert [name for name, ok in r.detail.items() if not ok] == ["j(u+) = j(E2 model)"]
 
 
-@pytest.mark.parametrize("check", [verify_si_parameters, x0_2_checks])
+@pytest.mark.parametrize("check", [
+    verify_si_parameters, x0_2_checks, verify_classification_consistency,
+])
 def test_exact_checks_draw_nothing_at_random(check, monkeypatch):
     import inspect
     import random
