@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .ffield import DomainError, FieldSpec, FqElem
+from .ffield import DomainError, FieldSpec, dlog
 
 
 class PrecisionError(ArithmeticError):
@@ -84,24 +84,13 @@ class CharacterSystem:
         """g(m mod (q-1))."""
         return complex(self.gauss[m % (self.field.q - 1)])
 
-    def _dlog(self, x):
-        """dlog of a nonzero element (FqElem or code)."""
-        if isinstance(x, FqElem):
-            if x.is_zero:
-                raise DomainError("omega of zero")
-            return x.e
-        k = int(self.field.dlog[int(x)])
-        if k < 0:
-            raise DomainError("omega of zero")
-        return k
-
     def omega_power(self, x, m):
         """omega(x)^m = zeta_{q-1}^{m dlog x}; x must be nonzero."""
-        return complex(self._zeta[(m * self._dlog(x)) % (self.field.q - 1)])
+        return complex(self._zeta[(m * dlog(self.field, x)) % (self.field.q - 1)])
 
     def omega_vector(self, x, ms):
         """omega(x)^m over an integer array of m values."""
-        k = self._dlog(x)
+        k = dlog(self.field, x)
         return self._zeta[(np.asarray(ms, dtype=np.int64) * k) % (self.field.q - 1)]
 
 

@@ -18,7 +18,7 @@ from importlib import resources
 from sympy import Poly, Symbol, factorint, isprime, jacobi_symbol
 
 from .ffield import DomainError
-from .geomver import j_invariants_pair
+from .geomver import j_invariants_pair, j_pair_coefficients
 
 FACTOR_LIMIT = 10**6
 
@@ -159,13 +159,11 @@ def verify_quadratic_cm():
 def verify_classification_consistency():
     """No t != 0 outside S1 has one of the thirteen rational CM j in its pair.
 
-    The pair of t is {A +- B sqrt(t(t-1))} with A = 64(512t^2 - 414t + 27) and
-    B = 128(256t - 81) (`j_invariants_pair`), so j is in it iff
-    (j - A)^2 = B^2 t(t-1): a cubic in t, whose rational roots are all found.
+    The pair of t is {A +- B sqrt(t(t-1))} (`j_pair_coefficients`), so j is in it
+    iff (j - A)^2 = B^2 t(t-1): a cubic in t, whose rational roots are all found.
     """
     t = Poly(Symbol("t"))
-    A = 64 * (512 * t**2 - 414 * t + 27)
-    B = 128 * (256 * t - 81)
+    A, B = j_pair_coefficients(t)
     s1 = set(s1_values())
     for j in rational_cm_j_list():
         for root in ((j - A) ** 2 - B**2 * t * (t - 1)).ground_roots():

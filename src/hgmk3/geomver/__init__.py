@@ -6,6 +6,7 @@ from .kodaira import (
     JPair,
     j_invariants_pair,
     j_match_check,
+    j_pair_coefficients,
     kodaira_profile,
 )
 from .maps import CATALOG, PSI_CHAIN, RationalMap
@@ -33,6 +34,7 @@ __all__ = [
     "RationalMap",
     "j_invariants_pair",
     "j_match_check",
+    "j_pair_coefficients",
     "kodaira_profile",
     "verify_Qt_on_curve",
     "verify_all_maps",

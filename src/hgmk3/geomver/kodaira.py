@@ -255,16 +255,19 @@ class JPair:
         )
 
 
+def j_pair_coefficients(t):
+    """(A, B) with the j-pair of t equal to {A +- B sqrt(t(t-1))}, in t's own ring
+    (a Fraction, a sympy expression or a Poly)."""
+    return 64 * (512 * t * t - 414 * t + 27), 128 * (256 * t - 81)
+
+
 def j_invariants_pair(t):
-    """{64(512 t^2 - 414 t + 27 +- 2 sqrt(t(t-1)) (256 t - 81))} exactly."""
+    """The j-pair of t as an exact JPair (`j_pair_coefficients` over Q)."""
     t = Fraction(t)
     if t == 0:
         raise ValueError("t = 0")
-    return JPair(
-        rational_part=64 * (512 * t * t - 414 * t + 27),
-        radical_coeff=128 * (256 * t - 81),
-        radicand=t * (t - 1),
-    )
+    A, B = j_pair_coefficients(t)
+    return JPair(rational_part=A, radical_coeff=B, radicand=t * (t - 1))
 
 
 def j_match_check(field, t, S):

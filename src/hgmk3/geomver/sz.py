@@ -5,10 +5,13 @@ Every Schwartz-Zippel run goes through `_sample`.  Each trial draws one prime
 p = 3 mod 4 and the source's free values, computes its derived values, solves
 its constraints with modular square roots, pushes the point through one map (a
 catalog entry) or through several in turn (the psi chain), and requires every
-target equation to vanish.  A degenerate point is redrawn under the trial's
-prime, so a run of n trials draws exactly n primes.  A wrong map of cleared
-total degree D slips past one trial with probability at most D / 2^(bits-1);
-the per-run bound reported is that value to the power of the completed trials.
+target equation to vanish.  The psi chain samples only the composition
+psi2 o ... o psi8: each link is a catalog entry with a run of its own.  A
+degenerate point is redrawn under the trial's prime, so a run of n trials draws
+exactly n primes; fewer than 1 trial or primes below 40 bits is a DomainError.
+A wrong map of cleared total degree D slips past one trial with probability at
+most D / 2^(bits-1); the per-run bound reported is that value to the power of
+the completed trials.
 
 The Shioda-Inose parameter system and the X_0(2) identities are closed forms
 over Q, so `_is_zero` proves each one by cancelling it to 0 as a rational
@@ -24,6 +27,8 @@ from fractions import Fraction
 import sympy as sp
 
 from ..ecount import WeierstrassCurve
+from ..ffield import DomainError
+from .kodaira import j_pair_coefficients
 from .maps import CATALOG, PSI_CHAIN, RationalMap
 from .modeval import SampleDegenerateError, eval_mod, random_prime, solve_step
 
@@ -115,17 +120,21 @@ def _run_entry(entry: RationalMap, trials, bits, rng):
                    entry.degree_bound(), trials, bits, rng)
 
 
+def _rng(name, trials, prime_bits, seed):
+    """The run's random stream, after checking the sampler's bounds."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if prime_bits < 40:
+        raise DomainError("prime_bits must be >= 40")
+    return random.Random(f"{seed}:{name}")
+
+
 def verify_map(name, trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
     """Schwartz-Zippel check of one catalog entry."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if prime_bits < 40:
-        raise ValueError("prime_bits must be >= 40")
     entry = CATALOG.get(name)
     if entry is None:
         raise CatalogError(f"no catalog entry named {name!r}")
-    rng = random.Random(f"{seed}:{name}")
-    return _run_entry(entry, trials, prime_bits, rng)
+    return _run_entry(entry, trials, prime_bits, _rng(name, trials, prime_bits, seed))
 
 
 def verify_all_maps(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED, only=None):
@@ -134,17 +143,15 @@ def verify_all_maps(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT
 
 
 def verify_chain_psi(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
-    """Per-link reports for psi8..psi2 plus the end-to-end composition."""
+    """[report] for the composition psi2 o ... o psi8; `verify_map` samples each link."""
     from .maps import inose_eq, u1, x, y
 
-    reports = [verify_map(n, trials, prime_bits, seed) for n in PSI_CHAIN]
+    rng = _rng("psi_chain", trials, prime_bits, seed)
     links = [CATALOG[n] for n in PSI_CHAIN]
-    reports.append(_sample(
+    return [_sample(
         "psi_chain", links[0], _through(links), (inose_eq(x, y, u1),),
-        max(link.degree_bound() for link in links),
-        trials, prime_bits, random.Random(f"{seed}:psi_chain"),
-    ))
-    return reports
+        max(link.degree_bound() for link in links), trials, prime_bits, rng,
+    )]
 
 
 def verify_Qt_on_curve(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
@@ -214,8 +221,9 @@ def verify_si_parameters():
     # A, B solve the j-pair system: A^3 = j1 j2 / 12^6, B^2 = (1-j1/12^3)(1-j2/12^3)
     A = (16 * t + 9) / 9
     B2 = sp.Rational(4, 729) * t * (81 - 32 * t) ** 2
-    j_sum = 128 * (512 * t**2 - 414 * t + 27)
-    j_prod = 4096 * ((512 * t**2 - 414 * t + 27) ** 2 - 4 * (t - 1) * t * (256 * t - 81) ** 2)
+    j_mid, j_rad = j_pair_coefficients(t)  # {j1, j2} = j_mid +- j_rad sqrt(t(t-1))
+    j_sum = 2 * j_mid
+    j_prod = j_mid**2 - j_rad**2 * t * (t - 1)
     identities = {f"system eq {i}": eq.subs(param) for i, eq in enumerate(system, 1)}
     identities |= {f"{sym}(g=h^2)": gform[sym].subs(g, h**2) - param[sym] for sym in (a, c, t)}
     identities["d^2(g=h^2)"] = d2_g.subs(g, h**2) - param[d] ** 2

@@ -340,17 +340,19 @@ class CountReport:
     methods_agree: bool
 
 
-def surface_count_report(field, t, cs=None):
+def surface_count_report(field, t):
     """Count the cell by solved-quadratic, fibered and sum-side methods, and by
-    the naive triple loop when q <= NAIVE_MAX_Q."""
+    the naive triple loop when q <= NAIVE_MAX_Q.
+
+    The sum side is q^2 - 3q + 3 + H3(1/t), certified by hg_H3.
+    """
     t = Fraction(t)
     q = field.q
     affine = {}
     if q <= NAIVE_MAX_Q:
         affine["naive"] = count_affine(field, t, "naive")
     affine["solved-z"] = count_affine(field, t, "solved-z")
-    nearest, _ = _gauss_expression(field, t, cs)
-    affine["hypergeometric"] = (q * q - 3 * q + 3) + nearest
+    affine["hypergeometric"] = (q * q - 3 * q + 3) + hg_H3(field, 1 / t)
     surface = breakdown = None
     trans = affine["solved-z"] + 3 * q - 3 - q * q
     agree = len(set(affine.values())) == 1

@@ -269,12 +269,50 @@ def test_bad_q_is_a_usage_error(argv):
     ["curve", "count", "--p", "7", "--a2", "0", "--a4", "0", "--a6", "0"],  # SingularCurveError
     ["fibration", "profile", "--model", "inose", "--t", "0"],  # FibrationError
     ["verify", "maps", "--only", "nosuch"],  # CatalogError
+    ["verify", "maps", "--trials", "0"],  # sampler bounds
+    ["verify", "maps", "--only", "psi4", "--trials", "0"],
+    ["verify", "maps", "--bits", "30"],
+    ["verify", "qt", "--trials", "0"],
+    ["verify", "all", "--pmin", "60", "--pmax", "50", "--t", "2"],  # empty q grid
+    ["verify", "bcm", "--pmax", "2", "--t", "2"],
 ])
 def test_domain_error_is_a_usage_error(argv, capsys):
     code, out = run(argv)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_repeated_q_is_verified_once():
+    code, out = run(["verify", "bcm", "--q", "7,7", "--t", "2"])
+    assert code == 0 and len(out.splitlines()) == 1
+    code, out = run(["verify", "curve-theorem", "--q", "5,5"])
+    assert code == 0 and len(out.splitlines()) == 16
+
+
+def test_lemma_sweep_builds_no_gauss_table():
+    from hgmk3.cli import _field_for
+
+    _field_for(5)  # the sweep then builds a new F_7
+    code, _ = run(["verify", "lemma", "--q", "7", "--t", "2"])
+    assert code == 0
+    assert _field_for(7).gauss_tables == {}
+
+
+def test_maps_draw_one_prime_per_printed_trial(monkeypatch):
+    from hgmk3.geomver import CATALOG, sz
+
+    drawn = []
+    random_prime = sz.random_prime
+
+    def counted(*args):
+        drawn.append(random_prime(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(sz, "random_prime", counted)
+    code, out = run(["verify", "maps", "--trials", "3"])
+    assert code == 0 and len(out.splitlines()) == len(CATALOG) + 1
+    assert len(drawn) == 3 * (len(CATALOG) + 1)  # the psi links are not sampled twice
 
 
 def test_sweep_keeps_one_field_alive():

@@ -282,6 +282,17 @@ def test_surface_count_report_methods_agree():
     assert rep.transcendental == rep.affine["solved-z"] + 3 * 5 - 3 - 25
 
 
+def test_surface_count_report_certifies_the_sum_side():
+    from hgmk3.charsum import PrecisionError, get_character_system
+    from hgmk3.k3count import surface_count_report
+
+    f = field_new(7)
+    cs = get_character_system(f)
+    cs.gauss[1] += 0.5
+    with pytest.raises(PrecisionError):
+        surface_count_report(f, F(2))
+
+
 def test_surface_count_report_skips_naive_above_bound():
     from hgmk3.k3count import NAIVE_MAX_Q, surface_count_report
 
