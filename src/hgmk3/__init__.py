@@ -7,17 +7,16 @@ machine-checks the identities, lattice statements, tables and explicit
 coordinate changes that tie them together.
 """
 
-from .charsum import CharacterSystem, gauss_table, get_character_system
+from .charsum import CharacterSystem, get_character_system
 from .cmdata import classify_t, cm_trace_survey, verify_quadratic_cm, verify_rational_cm
 from .ecount import (
     WeierstrassCurve,
     count_points,
     e1_e2,
-    sym2_trace,
     trace,
     verify_curve_trace_theorem,
 )
-from .ffield import FieldSpec, FqElem, dlog, field_new, is_square, sqrt, trace_to_prime
+from .ffield import FieldSpec, FqElem, dlog, field_new, quadratic_character, sqrt
 from .geomver import (
     j_invariants_pair,
     j_match_check,
@@ -28,7 +27,7 @@ from .geomver import (
     verify_si_parameters,
     x0_2_checks,
 )
-from .hyperg import HGDatum, datum_from_parameters, hg_H2, hg_H3, hg_sum, s_multiplicity
+from .hyperg import HGDatum, datum_from_parameters, hg_H2, hg_H3, hg_sum
 from .k3count import (
     count_affine,
     count_elliptic_surface,
@@ -67,23 +66,19 @@ __all__ = [
     "dlog",
     "e1_e2",
     "field_new",
-    "gauss_table",
     "get_character_system",
     "height",
     "hg_H2",
     "hg_H3",
     "hg_sum",
-    "is_square",
     "j_invariants_pair",
     "j_match_check",
     "kodaira_profile",
     "ns_cm_gram",
     "ns_gram_generic",
-    "s_multiplicity",
+    "quadratic_character",
     "sqrt",
-    "sym2_trace",
     "trace",
-    "trace_to_prime",
     "trace_transcendental",
     "u2_complement",
     "verify_Qt_on_curve",

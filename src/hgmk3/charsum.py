@@ -10,6 +10,10 @@ which is a length-(q-1) DFT of the sequence zeta_p^Tr(g^k), evaluated by one
 a posteriori: max | |g(m)|^2 - q | must stay within 1e-6 sqrt(q), or the build
 raises PrecisionError.  Exactness downstream is recovered by integer rounding
 plus independent point-count oracles.
+
+A table is read through `CharacterSystem.gauss` (index m mod q-1) and
+`omega_vector`.  The `twist` argument (psi(x) = psi_q(a x)) is public API that
+only the tests use, to show that sums do not depend on the additive character.
 """
 
 from __future__ import annotations
@@ -78,32 +82,17 @@ class CharacterSystem:
         # G[m] = sum_k c_k zeta_{q-1}^{km}
         return np.fft.ifft(c) * (f.q - 1)
 
-    # -- operations -----------------------------------------------------------
-
-    def gauss_at(self, m):
-        """g(m mod (q-1))."""
-        return complex(self.gauss[m % (self.field.q - 1)])
-
-    def omega_power(self, x, m):
-        """omega(x)^m = zeta_{q-1}^{m dlog x}; x must be nonzero."""
-        return complex(self._zeta[(m * dlog(self.field, x)) % (self.field.q - 1)])
-
     def omega_vector(self, x, ms):
         """omega(x)^m over an integer array of m values."""
         k = dlog(self.field, x)
         return self._zeta[(np.asarray(ms, dtype=np.int64) * k) % (self.field.q - 1)]
 
 
-def gauss_table(field, precision=53, twist=1):
-    """Build a CharacterSystem; fails with PrecisionError if residual too large."""
-    return CharacterSystem(field, precision, twist)
-
-
 def get_character_system(field, precision=53, twist=1):
     """The field's CharacterSystem for this twist, cached on the field; precision must be 53."""
     _check_precision(precision)
-    cs = field.gauss_tables.get(twist)
+    cs = field.character_systems.get(twist)
     if cs is None:
         cs = CharacterSystem(field, precision, twist)
-        field.gauss_tables[twist] = cs
+        field.character_systems[twist] = cs
     return cs

@@ -3,10 +3,12 @@ and CM table checks, with JSON-lines or CSV reports.
 
 Records are sorted by (check, q, t, name) and carry first-class skip reasons,
 so grid coverage is auditable and reruns of the same command are byte-identical
-(only `verify maps|qt` sample, from --seed or HGMK3_SEED).  A q grid holds each
-q once and may not be empty.  The verifiers fetch the Gauss table cached on
-their field; only `gauss-check` asks for one itself.  Exit codes: 0 all pass,
-1 any failure, 2 usage error (a malformed or out-of-domain argument).
+(only `verify maps|qt` sample, from --seed or HGMK3_SEED).  A grid holds each
+q and each t once and may not be empty.  The verifiers fetch the Gauss table
+cached on their field; only `gauss-check` asks for one itself.  Exit codes:
+0 all pass, 1 any failure (a failed certification prints one
+`certification failed: ...` line), 2 usage error (a malformed or
+out-of-domain argument).
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ class VerificationRecord:
 
     def as_dict(self):
         def enc(v):
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-            return v
+            return str(v) if isinstance(v, Fraction) else v  # "num/den", or "num" at den 1
 
         return {
             "check": self.check,
@@ -91,9 +91,10 @@ class SweepConfig:
             raise UsageError("empty q grid")
         if not self.t_list:
             raise UsageError("empty t list")
-        for t in self.t_list:
-            if t == 0:
-                raise UsageError("t = 0 is not allowed")
+        if 0 in self.t_list:
+            raise UsageError("t = 0 is not allowed")
+        if self.jobs < 1:
+            raise UsageError("jobs must be >= 1")
 
 
 class UsageError(ValueError):
@@ -114,14 +115,7 @@ def report_schema():
 
 
 def odd_prime_powers(lo, hi):
-    out = []
-    for q in range(max(3, lo), hi + 1):
-        if q % 2 == 0:
-            continue
-        fac = factorint(q)
-        if len(fac) == 1:
-            out.append(q)
-    return tuple(out)
+    return tuple(q for q in range(max(3, lo), hi + 1) if q % 2 and len(factorint(q)) == 1)
 
 
 def _prime_power(q):
@@ -318,7 +312,7 @@ def _sweep_config_from_args(args, checks):
     return SweepConfig(
         checks=checks,
         q_list=parse_q_list(args.q) if args.q else odd_prime_powers(args.pmin, args.pmax),
-        t_list=parse_rational_list(args.t),
+        t_list=tuple(dict.fromkeys(parse_rational_list(args.t))),  # each t once
         fmt=args.format,
         jobs=args.jobs,
         timings=args.timings,
@@ -356,9 +350,10 @@ def cmd_verify_curve_theorem(args, out):
 def cmd_verify_maps(args, out):
     from .geomver import verify_all_maps, verify_chain_psi
 
-    reports = verify_all_maps(args.trials, args.bits, _env_seed(args), only=args.only)
-    if not args.only:
-        reports += verify_chain_psi(args.trials, args.bits, _env_seed(args))
+    only, seed = args.only, _env_seed(args)
+    reports = [] if only == "psi_chain" else verify_all_maps(args.trials, args.bits, seed, only=only)
+    if not only or only == "psi_chain":
+        reports += verify_chain_psi(args.trials, args.bits, seed)
     records = [
         VerificationRecord(
             check="maps", name=r.name, passed=r.passed,
@@ -438,7 +433,7 @@ def cmd_lattice(args, out):
     for row in rows:
         ok &= row.passed
         _jdump({
-            "t": f"{row.t.numerator}/{row.t.denominator}" if row.t.denominator != 1 else str(row.t.numerator),
+            "t": str(row.t),
             "abc": [row.a, row.b, row.c],
             "class": row.class_name, "P.O": row.p_O,
             "pass": row.passed, "reason": row.reason,
@@ -604,7 +599,7 @@ def build_parser():
 
 def _input_errors():
     """The library's errors for arguments outside its domain, imported only once one
-    is raised; PrecisionError and IntegrityError are failed certifications instead."""
+    is raised."""
     from .ecount import SingularCurveError
     from .ffield import DomainError, FieldConstructionError, ReductionError
     from .geomver import CatalogError, FibrationError
@@ -613,6 +608,14 @@ def _input_errors():
 
     return (UsageError, FieldConstructionError, DomainError, ReductionError, DatumError,
             LatticeError, FibrationError, SingularCurveError, CatalogError)
+
+
+def _certification_errors():
+    """A value that missed its certification: a failed check, not a usage error."""
+    from .charsum import PrecisionError
+    from .hyperg import IntegrityError
+
+    return PrecisionError, IntegrityError
 
 
 def main(argv=None, out=None):
@@ -624,6 +627,9 @@ def main(argv=None, out=None):
     except _input_errors() as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    except _certification_errors() as e:
+        print(f"certification failed: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

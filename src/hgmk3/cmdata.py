@@ -13,9 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
-from sympy import Poly, Symbol, factorint, isprime, jacobi_symbol
+from sympy import Poly, Symbol, factorint, isprime
 
 from .ffield import DomainError
 from .geomver import j_invariants_pair, j_pair_coefficients
@@ -27,19 +28,10 @@ class FactoringError(ArithmeticError):
     """Raised when the squarefree part cannot be certified by trial division."""
 
 
-_DATA = None
-
-
+@cache
 def _data():
-    global _DATA
-    if _DATA is None:
-        with resources.files("hgmk3.data").joinpath("cm_tables.json").open() as fh:
-            _DATA = json.load(fh)
-    return _DATA
-
-
-def fixture_version():
-    return _data()["version"]
+    with resources.files("hgmk3.data").joinpath("cm_tables.json").open() as fh:
+        return json.load(fh)
 
 
 def s1_values():
@@ -181,7 +173,7 @@ class SurveyRow:
     kronecker_D: int
 
 
-def cm_trace_survey(t, p_max, p_min=3):
+def cm_trace_survey(t, p_max):
     """Empirical (T, a(E1)^2, (D/p)) rows for good primes with S in F_p.
 
     T comes from the affine count via T = |V_t| + 3p - 3 - p^2, which also
@@ -189,7 +181,7 @@ def cm_trace_survey(t, p_max, p_min=3):
     Data product only: no assertion on the d(n) split is made.
     """
     from .ecount import e1_e2, trace
-    from .ffield import field_new, sqrt
+    from .ffield import field_new, quadratic_character, sqrt
     from .k3count import count_affine
 
     t = Fraction(t)
@@ -197,7 +189,7 @@ def cm_trace_survey(t, p_max, p_min=3):
         raise DomainError(f"t = {t} is not a rank-20 parameter")
     D = chi_discriminant(t)
     rows = []
-    for p in range(max(3, p_min), p_max + 1):
+    for p in range(3, p_max + 1):
         if not isprime(p):
             continue
         if t.numerator % p == 0 or t.denominator % p == 0:
@@ -212,6 +204,6 @@ def cm_trace_survey(t, p_max, p_min=3):
             p=p,
             T=count_affine(field, t) + 3 * p - 3 - p * p,
             a_sq=trace(e1) ** 2,
-            kronecker_D=int(jacobi_symbol(D % p, p)),
+            kronecker_D=quadratic_character(field, field.from_int(D)),
         ))
     return rows

@@ -8,6 +8,9 @@ points leave more than one candidate, is counted by the O(q) quadratic-character
 loop q + 1 + sum_x chi(f(x)), which also serves as the oracle for the fast
 count.  Curves with a2 != 0 are counted directly without completing the cube,
 so characteristic 3 needs no special casing.
+
+`trace_over_extension` (a_{q^n} from a_q) is public API that only the tests
+call: an oracle tying counts over F_{q^n} to counts over F_q.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from sympy import factorint
 
-from .ffield import DomainError, FieldSpec, FqElem
+from .ffield import DomainError, FieldSpec, FqElem, quadratic_character
 from .hyperg import hg_H2
 
 
@@ -242,35 +245,22 @@ def e1_e2(t, S, field=None):
 
     S must satisfy S^2 = (t-1)/t in the coefficient field.
     """
-    if field is not None:
-        t = field.from_rational(Fraction(t)) if not isinstance(t, FqElem) else t
-        S = field.from_rational(Fraction(S)) if not isinstance(S, FqElem) else S
-        if t.is_zero:
-            raise DomainError("t = 0")
-        if S * S * t != t - field.one():
-            raise ValueError("S^2 != (t-1)/t in F_q")
-        half = field.one() / field.from_int(2)
-        e1 = WeierstrassCurve(field.from_int(-2), (field.one() - S) * half, field.zero(), field)
-        e2 = WeierstrassCurve(field.from_int(4), field.from_int(2) * (field.one() + S), field.zero(), field)
-    else:
-        t, S = Fraction(t), Fraction(S)
-        if t == 0:
-            raise DomainError("t = 0")
-        if S * S != (t - 1) / t:
-            raise ValueError("S^2 != (t-1)/t")
-        e1 = WeierstrassCurve(Fraction(-2), (1 - S) / 2, Fraction(0))
-        e2 = WeierstrassCurve(Fraction(4), 2 * (1 + S), Fraction(0))
+    def elem(v):  # into the coefficient field: Q when field is None, else F_q
+        if field is None:
+            return Fraction(v)
+        return v if isinstance(v, FqElem) else field.from_rational(Fraction(v))
+
+    t, S = elem(t), elem(S)
+    if t == 0:
+        raise DomainError("t = 0")
+    if S * S * t != t - 1:
+        raise ValueError("S^2 != (t-1)/t")
+    e1 = WeierstrassCurve(elem(-2), (1 - S) / elem(2), elem(0), field)
+    e2 = WeierstrassCurve(elem(4), elem(2) * (1 + S), elem(0), field)
     for curve in (e1, e2):
         if curve.is_singular():
             raise SingularCurveError(curve.discriminant())
     return e1, e2
-
-
-def sym2_trace(a, q):
-    """Trace a^2 - q of Frobenius on the symmetric square; requires |a| <= 2 sqrt(q)."""
-    if a * a > 4 * q:
-        raise DomainError(f"|a| = {abs(a)} violates the Hasse bound for q = {q}")
-    return a * a - q
 
 
 def trace_over_extension(a_q, q, n):
@@ -315,7 +305,7 @@ def verify_curve_trace_theorem(field, a, b, cs=None):
     four = field.from_int(4)
     z = field.from_int(27) * b * b / (four * a * a * a)
     h = hg_H2(field, z, cs=cs)
-    chi_ab = 1 if (a / b).e % 2 == 0 else -1
+    chi_ab = quadratic_character(field, a / b)
     rhs = field.q + 1 - chi_ab * int(h * field.q)
     lhs = count_points(curve)
     return CurveTraceReport(

@@ -11,6 +11,11 @@ For bulk counting loops the module also exposes a vectorised "code" view:
 an element is the integer c0 + c1*p + ... + c_{n-1}*p^(n-1) of its polynomial
 coordinates.  Prime-field codes are combined as integers mod p; extension-field
 codes through the exp/dlog/zech tables, so no loop runs over the n digits.
+
+The quadratic character is `quadratic_character`; the absolute trace is the
+table `FieldSpec.trace`.  `FieldSpec.next_generator` is public API that only
+the tests call: it rebuilds the field on another generator, to show that
+results do not depend on the choice.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class FieldSpec:
         dlog: int32 array over codes, dlog[0] = -1.
         zech: int32 array, zech[k] = dlog(1 + generator^k), -1 when 1+g^k = 0.
         trace: int32 array over codes, absolute trace to F_p.
-        gauss_tables: twist code -> CharacterSystem, filled by
+        character_systems: twist code -> CharacterSystem, filled by
             charsum.get_character_system, so a table lives as long as its field.
 
     Construction is single-threaded; apart from that table cache, instances are
@@ -175,7 +180,7 @@ class FieldSpec:
                 raise FieldConstructionError(f"code {generator} does not generate F_{q}^x")
             self.generator = int(generator)
         self._build_tables()
-        self.gauss_tables = {}
+        self.character_systems = {}
 
     def next_generator(self):
         """Field rebuilt with the next-larger generator (for independence checks)."""
@@ -486,13 +491,6 @@ def dlog(field, x):
     return x.e
 
 
-def is_square(field, x):
-    x = _coerce(field, x)
-    if x.e is None:
-        return True
-    return x.e % 2 == 0
-
-
 def sqrt(field, x):
     """A square root, choosing the root with the smaller exponent; None if no root."""
     x = _coerce(field, x)
@@ -501,12 +499,6 @@ def sqrt(field, x):
     if x.e % 2:
         return None
     return FqElem(field, x.e // 2)
-
-
-def trace_to_prime(field, x):
-    """Absolute trace x + x^p + ... + x^(p^(n-1)) as an integer in [0, p)."""
-    x = _coerce(field, x)
-    return int(field.trace[x.code])
 
 
 def quadratic_character(field, x):

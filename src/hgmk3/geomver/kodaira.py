@@ -5,6 +5,9 @@ univariate polynomials over Q; vanishing orders at the named places (with the
 degree-weighted flip at infinity: c4, c6, delta are sections of degree 8, 12,
 24 on a K3) feed the standard order table.  Orders are reduced by (4, 6, 12)
 whenever the local model is non-minimal.
+
+`j_match_check` is public API that only the tests call: an oracle matching the
+mod-q j-invariants of the curve pair against the exact pair formula.
 """
 
 from __future__ import annotations

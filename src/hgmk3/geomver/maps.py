@@ -9,6 +9,7 @@ whose printed source needed a correction carry the story in `note`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import sympy as sp
 from sympy import Rational as R
@@ -30,28 +31,23 @@ class RationalMap:
     target_eqs: tuple
     note: str = ""
 
+    @cached_property
     def compiled_steps(self):
-        """Cleared coefficient lists per solve step, cached on first use."""
-        if not hasattr(self, "_steps"):
-            steps = []
-            for eq, var in self.solve_steps:
-                num, _ = sp.fraction(sp.together(eq))
-                poly = sp.Poly(num, var)
-                if poly.degree() > 2:
-                    raise ValueError(f"{self.name}: {var} has degree {poly.degree()}")
-                steps.append((tuple(poly.all_coeffs()), var))
-            object.__setattr__(self, "_steps", tuple(steps))
-        return self._steps
+        """Cleared coefficient lists per solve step."""
+        steps = []
+        for eq, var in self.solve_steps:
+            num, _ = sp.fraction(sp.together(eq))
+            poly = sp.Poly(num, var)
+            if poly.degree() > 2:
+                raise ValueError(f"{self.name}: {var} has degree {poly.degree()}")
+            steps.append((tuple(poly.all_coeffs()), var))
+        return tuple(steps)
 
+    @cached_property
     def degree_bound(self):
         """Total-degree bound of the cleared target equations (for the SZ bound)."""
-        if not hasattr(self, "_deg"):
-            total = 0
-            for eq in self.target_eqs:
-                num, _ = sp.fraction(sp.together(eq))
-                total = max(total, sp.total_degree(sp.expand(num)))
-            object.__setattr__(self, "_deg", int(total))
-        return self._deg
+        nums = (sp.fraction(sp.together(eq))[0] for eq in self.target_eqs)
+        return max((int(sp.total_degree(sp.expand(num))) for num in nums), default=0)
 
 
 # ---------------------------------------------------------------------------

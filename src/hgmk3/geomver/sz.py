@@ -37,7 +37,7 @@ DEFAULT_BITS = 62
 DEFAULT_SEED = 20259
 
 
-class CatalogError(KeyError):
+class CatalogError(LookupError):
     """Unknown catalog entry or an entry without a solvable variable."""
 
 
@@ -60,7 +60,7 @@ def _sample(name, source: RationalMap, push, targets, degree, trials, bits, rng)
     A point whose denominators vanish or whose constraint has no root is redrawn
     under the trial's prime; more than 90% such attempts raise SampleDegenerateError.
     """
-    steps = source.compiled_steps()
+    steps = source.compiled_steps
     done = 0
     failures = 0
     attempts = 0
@@ -117,7 +117,7 @@ def _through(links):
 
 def _run_entry(entry: RationalMap, trials, bits, rng):
     return _sample(entry.name, entry, _through([entry]), entry.target_eqs,
-                   entry.degree_bound(), trials, bits, rng)
+                   entry.degree_bound, trials, bits, rng)
 
 
 def _rng(name, trials, prime_bits, seed):
@@ -150,7 +150,7 @@ def verify_chain_psi(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAUL
     links = [CATALOG[n] for n in PSI_CHAIN]
     return [_sample(
         "psi_chain", links[0], _through(links), (inose_eq(x, y, u1),),
-        max(link.degree_bound() for link in links), trials, prime_bits, rng,
+        max(link.degree_bound for link in links), trials, prime_bits, rng,
     )]
 
 

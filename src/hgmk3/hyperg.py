@@ -8,7 +8,8 @@ tuples (p_1..p_r), (q_1..q_s) with
 
 plus the scale M = prod p_j^{p_j} / prod q_k^{q_k}, the sign epsilon
 (+1 iff sum q_k is even) and the root multiplicities s(m) of
-D(x) = gcd(prod (x^{p_j}-1), prod (x^{q_k}-1)).  The sum itself is
+D(x) = gcd(prod (x^{p_j}-1), prod (x^{q_k}-1)), listed where nonzero by
+`_s_support`.  The sum itself is
 
     H_q = (-1)^{r+s}/(1-q) * sum_m q^{-s(0)+s(m)}
           prod_j g(p_j m) prod_k g(-q_k m) * omega(eps M^{-1} t)^m.
@@ -29,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -57,10 +59,6 @@ class HGDatum:
     M: Fraction
     epsilon: int
     d_multiplicities: dict  # d -> multiplicity of primitive d-th roots in D(x)
-
-    @property
-    def degree(self):
-        return len(self.alpha)
 
     @property
     def denominator_lcm(self):
@@ -126,15 +124,11 @@ def datum_from_parameters(alpha, beta):
     p_list = tuple(sorted((d for d, g in gamma.items() for _ in range(g) if g > 0), reverse=True))
     q_list = tuple(sorted((d for d, g in gamma.items() for _ in range(-g) if g < 0), reverse=True))
     # reconstruction check: prod (x^{p}-1)/prod (x^{q}-1) == prod Phi_d^{e_d}
-    recon = {}
+    recon = Counter()
     for p in p_list:
-        for d in range(1, p + 1):
-            if p % d == 0:
-                recon[d] = recon.get(d, 0) + 1
+        recon.update(_divisor_closure({p}))
     for q in q_list:
-        for d in range(1, q + 1):
-            if q % d == 0:
-                recon[d] = recon.get(d, 0) - 1
+        recon.subtract(_divisor_closure({q}))
     if {d: e for d, e in recon.items() if e} != {d: e for d, e in exps.items() if e}:
         raise DatumError("cyclotomic decomposition does not reproduce the parameters")
     if sum(p_list) != sum(q_list):
@@ -154,12 +148,6 @@ def datum_from_parameters(alpha, beta):
         if m:
             d_mult[d] = m
     return HGDatum(alpha, beta, p_list, q_list, M, epsilon, d_mult)
-
-
-def s_multiplicity(datum, q, m):
-    """Multiplicity s(m) of e^{2 pi i m/(q-1)} in D(x)."""
-    d = (q - 1) // math.gcd(m, q - 1) if m % (q - 1) else 1
-    return datum.d_multiplicities.get(d, 0)
 
 
 @dataclass
@@ -262,30 +250,16 @@ def hg_sum(datum, field, t, cs=None):
     return HGValue(value, Fraction(nearest, denom), residual)
 
 
-_MAIN = None
-_CURVE = None
-
-
+@cache
 def main_datum():
     """alpha = (1/4, 1/2, 3/4), beta = (0, 0, 0): the degree-3 weight-2 datum."""
-    global _MAIN
-    if _MAIN is None:
-        _MAIN = datum_from_parameters(
-            (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-            (0, 0, 0),
-        )
-    return _MAIN
+    return datum_from_parameters((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (0, 0, 0))
 
 
+@cache
 def curve_datum():
     """alpha = (1/6, 5/6), beta = (1/4, 3/4): the elliptic-curve trace datum."""
-    global _CURVE
-    if _CURVE is None:
-        _CURVE = datum_from_parameters(
-            (Fraction(1, 6), Fraction(5, 6)),
-            (Fraction(1, 4), Fraction(3, 4)),
-        )
-    return _CURVE
+    return datum_from_parameters((Fraction(1, 6), Fraction(5, 6)), (Fraction(1, 4), Fraction(3, 4)))
 
 
 def hg_H3(field, t, cs=None):

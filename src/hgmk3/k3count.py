@@ -5,8 +5,12 @@ The affine surface is counted two independent ways (a literal triple loop and a
 solved-quadratic loop over (x, y)).  The projective elliptic surface is counted
 fiber by fiber over P^1: smooth fibers by the quadratic-character loop, the two
 8-component fibers as 8q+1, the 4-cycle fiber as 4q, nodal fibers as
-q + 2 + delta(-2, -2), and the fiber at infinity on the rescaled model
+q + 2 + delta(-2, -2), and the fiber at infinity on the scaled model
 y^2 = x^3 + x^2/4 + x/(64t).
+
+Two oracles are public API that only the tests call: `count_quadric` counts
+1 = X^2 + t Y^2 by enumeration (against q - chi(-t)), and `delta_correction`
+is the bookkeeping term tying the smooth-fiber sum to the affine count.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class CheckReport:
 
 def delta_if_square(value, tested):
     """The quadratic-residue indicator: value if `tested` is a nonzero square, else 0."""
-    return value if tested.e is not None and tested.e % 2 == 0 else 0
+    return value if quadratic_character(tested.field, tested) == 1 else 0
 
 
 def _reduce_inverse_argument(field, t):

@@ -4,7 +4,10 @@ rank-20 jumps, orthogonal complements in U^2, and the rank-20 table checks.
 
 The intersection graph is transcribed edge by edge as ground truth: two
 8-component fibers (chains with one branch node), one 4-cycle fiber, and the
-two sections O, T with T.O = 0 encoded explicitly.
+two sections O, T with T.O = 0 encoded explicitly.  The named lattices are the
+constants `U` and `E8_NEG` = E8(-1).  The oracles `fiber_class_vector`,
+`u2_complement` and `table3_blocks` are public API; the first two only the
+tests call.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import combinations
 
 
 class LatticeError(ValueError):
-    """Inconsistent graph data, unknown lattice name, or inadmissible profile."""
+    """Inconsistent graph data, unknown table class, or inadmissible profile."""
 
 
 @dataclass(frozen=True)
@@ -95,27 +98,8 @@ class GramLattice:
         return GramLattice(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
 
 
-def standard_lattice(name):
-    """E8(-1), U, A1 (a (-2)-curve class), or <n> via the name "<n>"."""
-    if name == "U":
-        return GramLattice(((0, 1), (1, 0)), "U")
-    if name == "E8(-1)":
-        # E8 Cartan matrix, negated; nodes 1-7 a chain, node 8 attached to node 5
-        edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)}
-        return GramLattice(tuple(
-            tuple(-2 if i == j else int((i, j) in edges or (j, i) in edges) for j in range(8))
-            for i in range(8)
-        ), "E8(-1)")
-    if name == "A1":
-        return GramLattice(((-2,),), "A1")
-    if name.startswith("<") and name.endswith(">"):
-        return GramLattice(((int(name[1:-1]),),), name)
-    raise LatticeError(f"unknown lattice name {name!r}")
-
-
 def direct_sum(*lattices):
     n = sum(l.rank for l in lattices)
-    rows = []
     offset = 0
     entries = [[0] * n for _ in range(n)]
     for lat in lattices:
@@ -126,11 +110,14 @@ def direct_sum(*lattices):
     return GramLattice(tuple(tuple(row) for row in entries))
 
 
-def rescale(lattice, k):
-    return GramLattice(
-        tuple(tuple(k * x for x in row) for row in lattice.entries),
-        f"{lattice.label}({k})" if lattice.label else "",
-    )
+U = GramLattice(((0, 1), (1, 0)), "U")
+
+# the E8 Cartan matrix, negated: nodes 1-7 a chain, node 8 attached to node 5
+_E8_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)}
+E8_NEG = GramLattice(tuple(
+    tuple(-2 if i == j else int((i, j) in _E8_EDGES or (j, i) in _E8_EDGES) for j in range(8))
+    for i in range(8)
+), "E8(-1)")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +351,7 @@ def ns_cm_gram(profile):
     expect_ns, _ = table3_blocks(cls, profile.p_O)
     if block.entries != expect_ns.entries:
         raise LatticeError(f"2x2 block {block.entries} differs from class {cls}")
-    lat = direct_sum(standard_lattice("E8(-1)"), standard_lattice("E8(-1)"),
-                     standard_lattice("U"), block)
+    lat = direct_sum(E8_NEG, E8_NEG, U, block)
     if lat.det() != -4 * h:
         raise LatticeError("full determinant inconsistent")
     return GramLattice(lat.entries, f"NS_cm_{cls}")

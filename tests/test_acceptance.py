@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from hgmk3.charsum import gauss_table, get_character_system
+from hgmk3.charsum import CharacterSystem, get_character_system
 from hgmk3.cli import _field_for, main, odd_prime_powers
 from hgmk3.ecount import verify_curve_trace_theorem
 from hgmk3.ffield import sqrt
@@ -215,7 +215,7 @@ def test_criterion_9_character_layer():
         base = get_character_system(field)
         alt_gen = field.next_generator()
         for a in (2, 3):
-            tw = gauss_table(field, twist=field.from_int(a).code)
+            tw = CharacterSystem(field, twist=field.from_int(a).code)
             for t in (2, 3):
                 te = field.from_int(t)
                 ok &= hg_sum(main_datum(), field, te, cs=base).rounded == \

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hgmk3.charsum import CharacterSystem, gauss_table, get_character_system
+from hgmk3.charsum import CharacterSystem, get_character_system
 from hgmk3.ffield import DomainError, field_new
 
 
@@ -25,48 +25,51 @@ def brute_gauss(field, m, twist=1):
 
 def test_g1_over_f3_is_i_sqrt3():
     f = field_new(3)
-    cs = gauss_table(f)
+    cs = CharacterSystem(f)
     oracle = brute_gauss(f, 1)
     assert abs(oracle - 1j * math.sqrt(3)) < 1e-12
-    assert abs(cs.gauss_at(1) - 1j * math.sqrt(3)) < 1e-9
+    assert abs(cs.gauss[1] - 1j * math.sqrt(3)) < 1e-9
 
 
 def test_g0_is_exact_minus_one():
     for p, n in [(3, 1), (5, 1), (7, 1), (3, 2)]:
-        cs = gauss_table(field_new(p, n))
-        assert cs.gauss_at(0) == -1.0
-        assert cs.gauss_at(p**n - 1) == -1.0  # m = q-1 reduces to 0
+        cs = CharacterSystem(field_new(p, n))
+        assert cs.gauss[0] == -1.0
+        assert len(cs.gauss) == p**n - 1  # so m = q-1 reduces to 0
 
 
 def test_quadratic_gauss_sum_f5():
     f = field_new(5)
-    cs = gauss_table(f)
+    cs = CharacterSystem(f)
     oracle = brute_gauss(f, 2)
     assert abs(oracle - math.sqrt(5)) < 1e-12
-    assert abs(cs.gauss_at(2) - math.sqrt(5)) < 1e-9
+    assert abs(cs.gauss[2] - math.sqrt(5)) < 1e-9
 
 
 def test_index_reduction():
     f3 = field_new(3)
-    cs3 = gauss_table(f3)
-    assert cs3.gauss_at(-1) == cs3.gauss_at(1)  # -1 = 1 mod 2
+    cs3 = CharacterSystem(f3)
+    # the table has exactly q-1 entries, so a negative index is m mod q-1
+    assert cs3.gauss.shape == (2,)
+    assert cs3.gauss[-1] == cs3.gauss[1]  # -1 = 1 mod 2
     f5 = field_new(5)
-    cs5 = gauss_table(f5)
-    assert cs5.gauss_at(6) == cs5.gauss_at(2)
+    cs5 = CharacterSystem(f5)
+    assert cs5.gauss.shape == (4,)
+    assert cs5.gauss[-2] == cs5.gauss[2]
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (7, 1), (13, 1)])
 def test_full_table_matches_brute_force(p, n):
     f = field_new(p, n)
-    cs = gauss_table(f)
+    cs = CharacterSystem(f)
     for m in range(1, f.q - 1):
-        assert abs(cs.gauss_at(m) - brute_gauss(f, m)) < 1e-9
+        assert abs(cs.gauss[m] - brute_gauss(f, m)) < 1e-9
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (31, 1), (113, 1), (3, 5), (7, 3), (5, 3), (343 and 7, 3)])
 def test_modulus_q_within_1e9_relative(p, n):
     f = field_new(p, n)
-    cs = gauss_table(f)
+    cs = CharacterSystem(f)
     mods = np.abs(cs.gauss[1:]) ** 2
     assert np.max(np.abs(mods - f.q)) / f.q < 1e-9
 
@@ -75,36 +78,35 @@ def test_modulus_q_within_1e9_relative(p, n):
 def test_reflection_identity(p, n):
     # g(m) g(-m) = omega^m(-1) q for m != 0
     f = field_new(p, n)
-    cs = gauss_table(f)
+    cs = CharacterSystem(f)
     q1 = f.q - 1
-    minus_one = -f.one()
-    for m in range(1, q1):
-        lhs = cs.gauss_at(m) * cs.gauss_at(-m)
-        rhs = cs.omega_power(minus_one, m) * f.q
-        assert abs(lhs - rhs) < 1e-8 * f.q
+    m = np.arange(1, q1)
+    lhs = cs.gauss[m] * cs.gauss[-m % q1]
+    rhs = cs.omega_vector(-f.one(), m) * f.q
+    assert np.max(np.abs(lhs - rhs)) < 1e-8 * f.q
 
 
 def test_omega_power_examples():
     f7 = field_new(7)
-    cs = gauss_table(f7)
-    assert abs(cs.omega_power(f7.from_int(3), 1) - cmath.exp(2j * cmath.pi / 6)) < 1e-12
+    cs = CharacterSystem(f7)
+    assert abs(cs.omega_vector(f7.from_int(3), [1])[0] - cmath.exp(2j * cmath.pi / 6)) < 1e-12
     f5 = field_new(5)
-    cs5 = gauss_table(f5)
-    assert abs(cs5.omega_power(f5.from_int(4), 2) - 1) < 1e-12  # zeta_4^4
-    assert abs(cs5.omega_power(f5.one(), 3) - 1) < 1e-12
+    cs5 = CharacterSystem(f5)
+    assert abs(cs5.omega_vector(f5.from_int(4), [2])[0] - 1) < 1e-12  # zeta_4^4
+    assert abs(cs5.omega_vector(f5.one(), [3])[0] - 1) < 1e-12
     with pytest.raises(DomainError):
-        cs5.omega_power(f5.zero(), 1)
+        cs5.omega_vector(f5.zero(), [1])
 
 
 @pytest.mark.parametrize("a", [2, 3])
 def test_additive_rescaling(a):
     # psi(x) = psi_q(ax) rescales g(chi) by conj(chi(a))
     f = field_new(11)
-    base = gauss_table(f)
-    tw = gauss_table(f, twist=f.from_int(a).code)
-    for m in range(1, f.q - 1):
-        expect = np.conj(base.omega_power(f.from_int(a), m)) * base.gauss_at(m)
-        assert abs(tw.gauss_at(m) - expect) < 1e-8
+    base = CharacterSystem(f)
+    tw = CharacterSystem(f, twist=f.from_int(a).code)
+    m = np.arange(1, f.q - 1)
+    expect = np.conj(base.omega_vector(f.from_int(a), m)) * base.gauss[m]
+    assert np.max(np.abs(tw.gauss[m] - expect)) < 1e-8
 
 
 def test_only_53_bit_precision_is_accepted():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hgmk3.charsum import PrecisionError
 from hgmk3.cli import (
     RECORD_FIELDS,
     SweepConfig,
@@ -16,6 +17,7 @@ from hgmk3.cli import (
     parse_rational_list,
     report_schema,
 )
+from hgmk3.hyperg import IntegrityError
 
 
 def run(argv):
@@ -275,6 +277,8 @@ def test_bad_q_is_a_usage_error(argv):
     ["verify", "qt", "--trials", "0"],
     ["verify", "all", "--pmin", "60", "--pmax", "50", "--t", "2"],  # empty q grid
     ["verify", "bcm", "--pmax", "2", "--t", "2"],
+    ["verify", "bcm", "--q", "7", "--t", "2", "--jobs", "0"],  # was a serial run
+    ["verify", "all", "--q", "7", "--t", "2", "--jobs", "-3"],
 ])
 def test_domain_error_is_a_usage_error(argv, capsys):
     code, out = run(argv)
@@ -290,13 +294,47 @@ def test_repeated_q_is_verified_once():
     assert code == 0 and len(out.splitlines()) == 16
 
 
+def test_repeated_t_is_verified_once():
+    code, out = run(["verify", "bcm", "--q", "7", "--t", "2,4/2"])
+    assert code == 0 and out == run(["verify", "bcm", "--q", "7", "--t", "2"])[1]
+    assert len(out.splitlines()) == 1
+
+
+def test_only_selects_the_psi_chain(capsys):
+    code, out = run(["verify", "maps", "--only", "psi_chain", "--trials", "3"])
+    assert code == 0 and capsys.readouterr().err == ""
+    (rec,) = [json.loads(line) for line in out.splitlines()]
+    assert rec["name"] == "psi_chain" and rec["pass"] and rec["lhs"] == 3
+    code, full = run(["verify", "maps", "--trials", "3"])
+    assert code == 0 and out in full.splitlines(keepends=True)
+    # a CatalogError prints its message bare, without KeyError's quotes
+    code, out = run(["verify", "maps", "--only", "nosuch"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "usage error: no catalog entry named 'nosuch'\n"
+
+
+@pytest.mark.parametrize("error", [PrecisionError, IntegrityError], ids=lambda e: e.__name__)
+def test_certification_failure_exits_1_without_traceback(error, monkeypatch, capsys):
+    import hgmk3.hyperg as hyperg
+
+    def failing_sum(*args, **kwargs):
+        raise error("rounding residual 2.12e+05 above 0.001 at q = 1009")
+
+    monkeypatch.setattr(hyperg, "hg_sum", failing_sum)
+    code, out = run(["hgsum", "--alpha", "1/2,1/2,1/2,1/2", "--beta", "1/6,5/6,1/6,5/6",
+                     "--p", "1009", "--t", "2"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == "certification failed: rounding residual 2.12e+05 above 0.001 at q = 1009\n"
+
+
 def test_lemma_sweep_builds_no_gauss_table():
     from hgmk3.cli import _field_for
 
     _field_for(5)  # the sweep then builds a new F_7
     code, _ = run(["verify", "lemma", "--q", "7", "--t", "2"])
     assert code == 0
-    assert _field_for(7).gauss_tables == {}
+    assert _field_for(7).character_systems == {}
 
 
 def test_maps_draw_one_prime_per_printed_trial(monkeypatch):
@@ -326,7 +364,7 @@ def test_sweep_keeps_one_field_alive():
     assert code == 0
     gc.collect()
     assert first() is None
-    assert _field_for(7).gauss_tables  # the latest field keeps its table
+    assert _field_for(7).character_systems  # the latest field keeps its table
 
 
 def _all_subparsers(parser):

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from hgmk3.cmdata import (
+    _data,
     chi_discriminant,
     classify_t,
     cm_trace_survey,
-    fixture_version,
     quadratic_cm_rows,
     rational_cm_j_list,
     rational_cm_rows,
@@ -22,7 +22,7 @@ from hgmk3.cmdata import (
 
 
 def test_fixture_shape():
-    assert fixture_version() == 1
+    assert _data()["version"] == 1
     assert len(s1_values()) == 5
     assert len(s2_values()) == 10
     assert len(rational_cm_j_list()) == 13

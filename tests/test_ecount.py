@@ -17,7 +17,6 @@ from hgmk3.ecount import (
     count_points_character,
     count_points_mestre,
     e1_e2,
-    sym2_trace,
     trace,
     trace_over_extension,
     verify_curve_trace_theorem,
@@ -93,14 +92,6 @@ def test_e1_e2_models():
     assert (e1b.a2.code, e1b.a4.code) == (5, 5)  # (1-5)/2 = 5 mod 7
     with pytest.raises(ValueError, match="S\\^2"):
         e1_e2(f7.from_int(2), f7.from_int(3), f7)
-
-
-def test_sym2_trace():
-    assert sym2_trace(0, 11) == -11
-    assert sym2_trace(-2, 7) == -3
-    assert sym2_trace(-4, 7) == 9
-    with pytest.raises(DomainError):
-        sym2_trace(6, 7)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13])

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmk3.nslat import (
+    E8_NEG,
+    U,
     GramLattice,
     LatticeError,
     SectionProfile,
@@ -19,8 +21,6 @@ from hgmk3.nslat import (
     ns_cm_gram,
     ns_gram_generic,
     p_T_relation,
-    rescale,
-    standard_lattice,
     table3_blocks,
     u2_complement,
     verify_table5,
@@ -28,25 +28,16 @@ from hgmk3.nslat import (
 
 
 def test_standard_lattices():
-    assert standard_lattice("U").det() == -1
-    e8 = standard_lattice("E8(-1)")
-    assert e8.det() == 1
-    assert e8.signature() == (0, 8)
-    assert e8.is_even()
-    assert standard_lattice("<-4>").entries == ((-4,),)
-    assert standard_lattice("A1").entries == ((-2,),)
-    with pytest.raises(LatticeError):
-        standard_lattice("E7")
+    assert U.det() == -1
+    assert E8_NEG.det() == 1
+    assert E8_NEG.signature() == (0, 8)
+    assert E8_NEG.is_even()
 
 
-def test_direct_sum_and_rescale():
-    lat = direct_sum(
-        standard_lattice("E8(-1)"), standard_lattice("E8(-1)"),
-        standard_lattice("U"), standard_lattice("<-4>"),
-    )
+def test_direct_sum():
+    lat = direct_sum(E8_NEG, E8_NEG, U, GramLattice(((-4,),)))
     assert lat.det() == 4
     assert lat.signature() == (1, 18)
-    assert rescale(standard_lattice("U"), 2).entries == ((0, 2), (2, 0))
 
 
 def test_curve_graph_shape():
@@ -198,13 +189,10 @@ def test_signature_conventions():
     # NS lattices (1, rank-1); transcendental complements (2, rank-2)
     for cls in ("L0", "L1", "L2", "L4"):
         ns, tr = table3_blocks(cls, 0)
-        full_ns = direct_sum(
-            standard_lattice("E8(-1)"), standard_lattice("E8(-1)"),
-            standard_lattice("U"), ns,
-        )
+        full_ns = direct_sum(E8_NEG, E8_NEG, U, ns)
         assert full_ns.signature() == (1, 19)
         assert tr.signature() == (2, 0)
-    generic_tr = direct_sum(standard_lattice("U"), standard_lattice("<4>"))
+    generic_tr = direct_sum(U, GramLattice(((4,),)))
     assert generic_tr.signature() == (2, 1)
 
 
