@@ -3,9 +3,10 @@ and CM table checks, with JSON-lines or CSV reports.
 
 Records are sorted by (check, q, t, name) and carry first-class skip reasons,
 so grid coverage is auditable and reruns of the same command are byte-identical
-(only `verify maps|qt` sample, from --seed or HGMK3_SEED).  A grid holds each
-q and each t once and may not be empty.  The verifiers fetch the Gauss table
-cached on their field; only `gauss-check` asks for one itself.  Exit codes:
+(only `verify maps|qt` sample, from --seed).  A grid holds each q and each t
+once and may not be empty.  Each verb builds its fields afresh; the verifiers
+fetch the Gauss table cached on their field, and only `gauss-check` asks for
+one itself.  Exit codes:
 0 all pass, 1 any failure (a failed certification prints one
 `certification failed: ...` line), 2 usage error (a malformed or
 out-of-domain argument).
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -144,15 +144,11 @@ def parse_rational_list(text):
         raise UsageError(f"bad rational list {text!r}: {e}") from None
 
 
-def _field_for(q, latest={}):
-    """The field of order q; only the latest one is kept, with its tables."""
+def _field_for(q):
+    """The field of order q, after checking that q is an odd prime power."""
     from .ffield import field_new
 
-    if q not in latest:
-        p, n = _prime_power(q)
-        latest.clear()
-        latest[q] = field_new(p, n)
-    return latest[q]
+    return field_new(*_prime_power(q))
 
 
 def _records_for_q(args):
@@ -220,15 +216,6 @@ def emit_records(records, fmt, out):
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
-
-def _env_seed(args):
-    from .geomver.sz import DEFAULT_SEED
-
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HGMK3_SEED")
-    return int(env) if env else DEFAULT_SEED
-
 
 def _jdump(obj, out):
     print(json.dumps(obj, separators=(", ", ": ")), file=out)
@@ -350,10 +337,10 @@ def cmd_verify_curve_theorem(args, out):
 def cmd_verify_maps(args, out):
     from .geomver import verify_all_maps, verify_chain_psi
 
-    only, seed = args.only, _env_seed(args)
-    reports = [] if only == "psi_chain" else verify_all_maps(args.trials, args.bits, seed, only=only)
+    only = args.only
+    reports = [] if only == "psi_chain" else verify_all_maps(args.trials, args.seed, only=only)
     if not only or only == "psi_chain":
-        reports += verify_chain_psi(args.trials, args.bits, seed)
+        reports += verify_chain_psi(args.trials, args.seed)
     records = [
         VerificationRecord(
             check="maps", name=r.name, passed=r.passed,
@@ -377,7 +364,7 @@ def cmd_verify_si_params(args, out):
 def cmd_verify_qt(args, out):
     from .geomver import verify_Qt_on_curve
 
-    reports = verify_Qt_on_curve(args.trials, args.bits, _env_seed(args))
+    reports = verify_Qt_on_curve(args.trials, args.seed)
     for r in reports:
         _jdump({"check": "qt", "name": r.name, "pass": r.passed, "trials": r.trials}, out)
     return 0 if all(r.passed for r in reports) else 1
@@ -490,11 +477,16 @@ def _add_sweep_args(p):
     p.add_argument("--pmin", type=int, default=3)
     p.add_argument("--pmax", type=int, default=50)
     p.add_argument("--q", type=str, default=None, help="explicit comma-separated q list")
-    p.add_argument("--t", "--t-list", dest="t", type=str, required=True,
-                   help="comma-separated rationals")
+    p.add_argument("--t", type=str, required=True, help="comma-separated rationals")
     p.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true")
+
+
+def _add_sampler_args(p):
+    """The settings of `verify maps|qt`; the defaults are those of geomver.sz."""
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=20259)
 
 
 def build_parser():
@@ -544,17 +536,13 @@ def build_parser():
     v.set_defaults(func=cmd_verify_curve_theorem)
     v = vsub.add_parser("maps")
     v.add_argument("--only", default=None)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--bits", type=int, default=62)
-    v.add_argument("--seed", type=int, default=None)
+    _add_sampler_args(v)
     v.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
     v.set_defaults(func=cmd_verify_maps)
     v = vsub.add_parser("si-params")
     v.set_defaults(func=cmd_verify_si_params)
     v = vsub.add_parser("qt")
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--bits", type=int, default=62)
-    v.add_argument("--seed", type=int, default=None)
+    _add_sampler_args(v)
     v.set_defaults(func=cmd_verify_qt)
     v = vsub.add_parser("x0-2")
     v.set_defaults(func=cmd_verify_x0_2)

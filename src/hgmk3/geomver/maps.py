@@ -1,9 +1,10 @@
 """The catalog of explicit coordinate changes between the surface models.
 
 Every entry records: free variables to sample, derived assignments, constraint
-equations each solvable for a designated variable of degree <= 2, the map
-components, and the target equations that must vanish on the image.  Entries
-whose printed source needed a correction carry the story in `note`.
+equations each solvable for a designated variable (of degree <= 2, and in no
+denominator), the map components, and the target equations that must vanish
+on the image.  Entries whose printed source needed a correction carry the
+story in `note`.
 """
 
 from __future__ import annotations
@@ -30,18 +31,6 @@ class RationalMap:
     outputs: tuple  # ((symbol, expr), ...)
     target_eqs: tuple
     note: str = ""
-
-    @cached_property
-    def compiled_steps(self):
-        """Cleared coefficient lists per solve step."""
-        steps = []
-        for eq, var in self.solve_steps:
-            num, _ = sp.fraction(sp.together(eq))
-            poly = sp.Poly(num, var)
-            if poly.degree() > 2:
-                raise ValueError(f"{self.name}: {var} has degree {poly.degree()}")
-            steps.append((tuple(poly.all_coeffs()), var))
-        return tuple(steps)
 
     @cached_property
     def degree_bound(self):

@@ -1,8 +1,8 @@
 """Evaluation of exact-rational expression trees modulo a prime.
 
 Catalog expressions are sympy trees with Rational coefficients; sampling a map
-means picking a random prime p of a requested bit size, random values for the
-free variables, solving each constraint (degree <= 2) with modular square
+means picking a random 62-bit prime p, random values for the free variables,
+solving each constraint (degree <= 2) from its equation with modular square
 roots, and pushing values through the tree.  Primes come deterministically
 from the run seed and are 3 mod 4, so a square root is one exponentiation.
 """
@@ -18,10 +18,13 @@ class SampleDegenerateError(ArithmeticError):
     """A denominator vanished or a constraint had no root; resample."""
 
 
-def random_prime(rng: random.Random, bits: int) -> int:
-    """Deterministic random prime p = 3 mod 4 with the top bit set."""
+PRIME_BITS = 62
+
+
+def random_prime(rng: random.Random) -> int:
+    """Deterministic random PRIME_BITS-bit prime p = 3 mod 4."""
     while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 3
+        cand = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 3
         if sp.isprime(cand):
             return cand
 
@@ -75,18 +78,20 @@ def sqrt_mod(a, p):
     return root if root * root % p == a else None
 
 
-def solve_step(coeffs, values, p, rng):
-    """Solve a (<= quadratic) constraint given its coefficient expressions.
+def solve_step(eq, var, values, p, rng):
+    """Solve the constraint eq = 0, at most quadratic in var, for var.
 
-    coeffs is the all_coeffs() list of the constraint as a Poly in the target
-    variable (highest degree first).  Returns one root, chosen by the rng when
-    two exist.  Raises SampleDegenerateError when no root exists mod p.
+    eq at var = 0, 1, -1 gives c, a+b+c and a-b+c of a var^2 + b var + c, up to
+    a denominator that var does not enter, so the roots are those of the
+    cleared equation.  Returns one root, chosen by the rng when two exist.
+    Raises SampleDegenerateError when a denominator vanishes or no root exists
+    mod p.
     """
-    cs = [eval_mod(c, values, p) for c in coeffs]
-    while cs and cs[0] == 0:
-        cs = cs[1:]
-    if len(cs) == 3:
-        a, b, c = cs
+    c, plus, minus = (eval_mod(eq, values | {var: v}, p) for v in (0, 1, -1))
+    half = (p + 1) // 2  # 1/2 mod p
+    a = ((plus + minus) * half - c) % p
+    b = (plus - minus) * half % p
+    if a:
         disc = (b * b - 4 * a * c) % p
         root = sqrt_mod(disc, p)
         if root is None:
@@ -94,7 +99,6 @@ def solve_step(coeffs, values, p, rng):
         if rng.random() < 0.5:
             root = (-root) % p
         return (-b + root) * pow(2 * a, -1, p) % p
-    if len(cs) == 2:
-        b, c = cs
+    if b:
         return -c * pow(b, -1, p) % p
     raise SampleDegenerateError("constraint degenerated to a constant")

@@ -1,17 +1,20 @@
 """Probabilistic verification of the map catalog; exact proofs of the parameter
 and modular-curve identities.
 
-Every Schwartz-Zippel run goes through `_sample`.  Each trial draws one prime
-p = 3 mod 4 and the source's free values, computes its derived values, solves
-its constraints with modular square roots, pushes the point through one map (a
-catalog entry) or through several in turn (the psi chain), and requires every
-target equation to vanish.  The psi chain samples only the composition
-psi2 o ... o psi8: each link is a catalog entry with a run of its own.  A
-degenerate point is redrawn under the trial's prime, so a run of n trials draws
-exactly n primes; fewer than 1 trial or primes below 40 bits is a DomainError.
-A wrong map of cleared total degree D slips past one trial with probability at
-most D / 2^(bits-1); the per-run bound reported is that value to the power of
-the completed trials.
+Every Schwartz-Zippel run goes through `_sample`.  Each trial draws one
+62-bit prime p = 3 mod 4 and the source's free values, computes its derived
+values, solves each constraint from its own equation with modular square
+roots, pushes the point through one map (a catalog entry) or through several
+in turn (the psi chain), and requires every target equation to vanish.  The
+psi chain samples only the composition psi2 o ... o psi8: each link is a
+catalog entry with a run of its own.  A degenerate point is redrawn under the
+trial's prime, so a run of n trials draws exactly n primes; fewer than 1 trial
+is a DomainError.  MAX_DRAWS degenerate points in a row raise
+SampleDegenerateError; a catalog point degenerates with probability below
+4/5, so a sound entry does that with probability below 10^-19 per trial.  A
+wrong map of cleared total degree D slips past one trial with probability at
+most D / 2^61; the per-run bound reported is that value to the power of the
+trials.
 
 The Shioda-Inose parameter system and the X_0(2) identities are closed forms
 over Q, so `_is_zero` proves each one by cancelling it to 0 as a rational
@@ -30,15 +33,15 @@ from ..ecount import WeierstrassCurve
 from ..ffield import DomainError
 from .kodaira import j_pair_coefficients
 from .maps import CATALOG, PSI_CHAIN, RationalMap
-from .modeval import SampleDegenerateError, eval_mod, random_prime, solve_step
+from .modeval import PRIME_BITS, SampleDegenerateError, eval_mod, random_prime, solve_step
 
 DEFAULT_TRIALS = 100
-DEFAULT_BITS = 62
+MAX_DRAWS = 200  # per trial
 DEFAULT_SEED = 20259
 
 
 class CatalogError(LookupError):
-    """Unknown catalog entry or an entry without a solvable variable."""
+    """Unknown catalog entry."""
 
 
 @dataclass
@@ -54,49 +57,47 @@ class MapReport:
     witness: dict = None  # sampled values and prime of the first failing trial
 
 
-def _sample(name, source: RationalMap, push, targets, degree, trials, bits, rng):
+def _sample(name, source: RationalMap, push, targets, degree, trials, rng):
     """Schwartz-Zippel trials: sample `source`, push(values, p), test `targets`.
 
     A point whose denominators vanish or whose constraint has no root is redrawn
-    under the trial's prime; more than 90% such attempts raise SampleDegenerateError.
+    under the trial's prime; MAX_DRAWS such points in a row raise
+    SampleDegenerateError.
     """
-    steps = source.compiled_steps
-    done = 0
     failures = 0
     attempts = 0
     witness = None
-    while done < trials:
-        p = random_prime(rng, bits)
-        while True:
+    for _ in range(trials):
+        p = random_prime(rng)
+        for _ in range(MAX_DRAWS):
             attempts += 1
-            if attempts > 10 * trials and done < attempts // 10:
-                raise SampleDegenerateError(f"{name}: more than 90% of samples degenerate")
             values = {sym: rng.randrange(1, p) for sym in source.free}
             try:
                 for sym, expr in source.derived:
                     values[sym] = eval_mod(expr, values, p)
-                for coeffs, var in steps:
-                    values[var] = solve_step(coeffs, values, p, rng)
+                for eq, var in source.solve_steps:
+                    values[var] = solve_step(eq, var, values, p, rng)
                 image = push(values, p)
                 failed = any(eval_mod(eq, image, p) != 0 for eq in targets)
                 break
             except SampleDegenerateError:
                 pass
+        else:
+            raise SampleDegenerateError(f"{name}: {MAX_DRAWS} degenerate points in a row")
         if failed:
             failures += 1
             if witness is None:
                 witness = {str(k): v for k, v in values.items()} | {"prime": p}
-        done += 1
-    per_trial = degree / 2.0 ** (bits - 1)
+    per_trial = degree / 2.0 ** (PRIME_BITS - 1)
     return MapReport(
         name=name,
-        trials=done,
+        trials=trials,
         passed=failures == 0,
         failures=failures,
-        resamples=attempts - done,
+        resamples=attempts - trials,
         attempts=attempts,
         per_trial_bound=per_trial,
-        miss_probability_bound=min(1.0, per_trial) ** max(done, 1),
+        miss_probability_bound=min(1.0, per_trial) ** trials,
         witness=witness,
     )
 
@@ -115,51 +116,42 @@ def _through(links):
     return push
 
 
-def _run_entry(entry: RationalMap, trials, bits, rng):
-    return _sample(entry.name, entry, _through([entry]), entry.target_eqs,
-                   entry.degree_bound, trials, bits, rng)
-
-
-def _rng(name, trials, prime_bits, seed):
-    """The run's random stream, after checking the sampler's bounds."""
+def _rng(name, trials, seed):
+    """The run's random stream, after checking the trial count."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if prime_bits < 40:
-        raise DomainError("prime_bits must be >= 40")
     return random.Random(f"{seed}:{name}")
 
 
-def verify_map(name, trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
+def verify_map(name, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Schwartz-Zippel check of one catalog entry."""
     entry = CATALOG.get(name)
     if entry is None:
         raise CatalogError(f"no catalog entry named {name!r}")
-    return _run_entry(entry, trials, prime_bits, _rng(name, trials, prime_bits, seed))
+    return _sample(name, entry, _through([entry]), entry.target_eqs, entry.degree_bound,
+                   trials, _rng(name, trials, seed))
 
 
-def verify_all_maps(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED, only=None):
+def verify_all_maps(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, only=None):
     names = [only] if only else sorted(CATALOG)
-    return [verify_map(n, trials, prime_bits, seed) for n in names]
+    return [verify_map(n, trials, seed) for n in names]
 
 
-def verify_chain_psi(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
+def verify_chain_psi(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """[report] for the composition psi2 o ... o psi8; `verify_map` samples each link."""
     from .maps import inose_eq, u1, x, y
 
-    rng = _rng("psi_chain", trials, prime_bits, seed)
+    rng = _rng("psi_chain", trials, seed)
     links = [CATALOG[n] for n in PSI_CHAIN]
     return [_sample(
         "psi_chain", links[0], _through(links), (inose_eq(x, y, u1),),
-        max(link.degree_bound for link in links), trials, prime_bits, rng,
+        max(link.degree_bound for link in links), trials, rng,
     )]
 
 
-def verify_Qt_on_curve(trials=DEFAULT_TRIALS, prime_bits=DEFAULT_BITS, seed=DEFAULT_SEED):
+def verify_Qt_on_curve(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """The explicit section lies on the two-II* model, generically and at t = 1."""
-    return [
-        verify_map("qt_section", trials, prime_bits, seed),
-        verify_map("qt_section_t1", trials, prime_bits, seed),
-    ]
+    return [verify_map("qt_section", trials, seed), verify_map("qt_section_t1", trials, seed)]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ class GramLattice:
     """A symmetric exact Gram matrix with rank/determinant/signature utilities."""
 
     entries: tuple  # tuple of tuples, ints or Fractions
-    label: str = ""
 
     def __post_init__(self):
         n = len(self.entries)
@@ -110,14 +109,14 @@ def direct_sum(*lattices):
     return GramLattice(tuple(tuple(row) for row in entries))
 
 
-U = GramLattice(((0, 1), (1, 0)), "U")
+U = GramLattice(((0, 1), (1, 0)))
 
 # the E8 Cartan matrix, negated: nodes 1-7 a chain, node 8 attached to node 5
 _E8_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)}
 E8_NEG = GramLattice(tuple(
     tuple(-2 if i == j else int((i, j) in _E8_EDGES or (j, i) in _E8_EDGES) for j in range(8))
     for i in range(8)
-), "E8(-1)")
+))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def ns_gram_generic():
         [sum(bi[a] * m[a][b] * bj[b] for a in range(22) for b in range(22)) for bj in basis]
         for bi in basis
     ]
-    lat = GramLattice(tuple(tuple(row) for row in gram), "NS_generic")
+    lat = GramLattice(tuple(tuple(row) for row in gram))
     blocks = [range(0, 8), range(8, 16), range(16, 18), range(18, 19)]
     for bi in range(4):
         for bj in range(bi + 1, 4):
@@ -231,24 +230,24 @@ def fiber_class_vector():
 
 @dataclass(frozen=True)
 class SectionProfile:
-    """Intersection pattern of an optimal extra section with the named curves."""
+    """Intersection pattern of an optimal extra section with the named curves.
+
+    An optimal generator meets f7 once and gamma1 not at all, so those two
+    bits are not fields.
+    """
 
     p_O: int = 0
     p_e7: int = 0
-    p_f7: int = 1  # optimal-generator normalisation
     p_g0: int = None
-    p_g1: int = 0
     p_g2: int = 0
     p_g3: int = 0
 
     def __post_init__(self):
-        if self.p_f7 != 1 or self.p_g1 != 0:
-            raise LatticeError("optimal generators have p_f7 = 1 and p_gamma1 = 0")
         g0 = self.p_g0
         if g0 is None:
             g0 = 1 - self.p_g2 - self.p_g3
             object.__setattr__(self, "p_g0", g0)
-        if sorted((g0, self.p_g1, self.p_g2, self.p_g3)) != [0, 0, 0, 1]:
+        if sorted((g0, self.p_g2, self.p_g3)) != [0, 0, 1]:
             raise LatticeError("the section meets exactly one 4-cycle component")
         if self.p_e7 not in (0, 1):
             raise LatticeError("p_e7 is a 0/1 intersection bit")
@@ -262,7 +261,6 @@ def height(profile):
         Fraction(4)
         + 2 * profile.p_O
         - Fraction(3, 2) * profile.p_e7
-        - Fraction(3, 2) * (1 - profile.p_f7)
         - Fraction(3, 4) * profile.p_g2
         - profile.p_g3
     )
@@ -354,7 +352,7 @@ def ns_cm_gram(profile):
     lat = direct_sum(E8_NEG, E8_NEG, U, block)
     if lat.det() != -4 * h:
         raise LatticeError("full determinant inconsistent")
-    return GramLattice(lat.entries, f"NS_cm_{cls}")
+    return lat
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,8 @@ def test_criterion_6_lattice_suite():
 
 
 def test_criterion_7_map_catalog():
-    reports = verify_all_maps(trials=100, prime_bits=62)
-    reports += verify_chain_psi(trials=100, prime_bits=62)[-1:]
+    reports = verify_all_maps(trials=100)
+    reports += verify_chain_psi(trials=100)[-1:]
     ok = all(r.passed and r.trials == 100 for r in reports)
     si = verify_si_parameters()
     ok &= si.passed

@@ -203,20 +203,38 @@ def test_usage_exit_codes():
     assert code == 2
 
 
-def test_t_list_alias():
-    code_a, out_a = run(["verify", "bcm", "--q", "7", "--t", "2,3"])
-    code_b, out_b = run(["verify", "bcm", "--q", "7", "--t-list", "2,3"])
-    assert code_a == code_b == 0 and out_a == out_b
+def test_seed_selects_the_primes(monkeypatch):
+    from hgmk3.geomver import sz
+
+    random_prime = sz.random_prime
+
+    def primes_for(seed):
+        drawn = []
+
+        def recording(rng):
+            drawn.append(random_prime(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(sz, "random_prime", recording)
+        code, _ = run(["verify", "maps", "--only", "identity_sanity", "--trials", "3",
+                       "--seed", str(seed)])
+        assert code == 0 and len(drawn) == 3
+        return drawn
+
+    assert primes_for(11) != primes_for(12)
+    assert primes_for(11) == primes_for(11)
 
 
-def test_env_seed_and_precision(monkeypatch):
-    monkeypatch.setenv("HGMK3_SEED", "11")
-    code, out1 = run(["verify", "maps", "--only", "identity_sanity", "--trials", "3"])
-    assert code == 0
-    monkeypatch.setenv("HGMK3_SEED", "12")
-    code, out2 = run(["verify", "maps", "--only", "identity_sanity", "--trials", "3"])
-    assert code == 0
-    # precision is fixed at 53 bits: no verb takes a --precision option
+def test_sampler_defaults_are_the_library_defaults():
+    from hgmk3.geomver.sz import DEFAULT_SEED, DEFAULT_TRIALS
+
+    for verb in ("maps", "qt"):
+        args = build_parser().parse_args(["verify", verb])
+        assert (args.trials, args.seed) == (DEFAULT_TRIALS, DEFAULT_SEED)
+
+
+def test_precision_is_fixed_at_53_bits():
+    # no verb takes a --precision option
     code, out = run(["gauss-check", "--p", "5"])
     assert code == 0 and json.loads(out)["precision"] == 53
     with pytest.raises(SystemExit) as exc:
@@ -273,7 +291,7 @@ def test_bad_q_is_a_usage_error(argv):
     ["verify", "maps", "--only", "nosuch"],  # CatalogError
     ["verify", "maps", "--trials", "0"],  # sampler bounds
     ["verify", "maps", "--only", "psi4", "--trials", "0"],
-    ["verify", "maps", "--bits", "30"],
+    ["verify", "maps", "--only", "psi_chain", "--trials", "0"],
     ["verify", "qt", "--trials", "0"],
     ["verify", "all", "--pmin", "60", "--pmax", "50", "--t", "2"],  # empty q grid
     ["verify", "bcm", "--pmax", "2", "--t", "2"],
@@ -328,13 +346,21 @@ def test_certification_failure_exits_1_without_traceback(error, monkeypatch, cap
     assert err == "certification failed: rounding residual 2.12e+05 above 0.001 at q = 1009\n"
 
 
-def test_lemma_sweep_builds_no_gauss_table():
-    from hgmk3.cli import _field_for
+def test_lemma_sweep_builds_no_gauss_table(monkeypatch):
+    from hgmk3.charsum import CharacterSystem
 
-    _field_for(5)  # the sweep then builds a new F_7
+    built = []
+    init = CharacterSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CharacterSystem, "__init__", counted)
     code, _ = run(["verify", "lemma", "--q", "7", "--t", "2"])
-    assert code == 0
-    assert _field_for(7).character_systems == {}
+    assert code == 0 and built == []
+    code, _ = run(["verify", "bcm", "--q", "7", "--t", "2"])
+    assert code == 0 and len(built) == 1  # the count sees a table when one is built
 
 
 def test_maps_draw_one_prime_per_printed_trial(monkeypatch):
@@ -353,18 +379,24 @@ def test_maps_draw_one_prime_per_printed_trial(monkeypatch):
     assert len(drawn) == 3 * (len(CATALOG) + 1)  # the psi links are not sampled twice
 
 
-def test_sweep_keeps_one_field_alive():
+def test_sweep_keeps_no_field_alive(monkeypatch):
     import gc
     import weakref
 
-    from hgmk3.cli import _field_for
+    from hgmk3.ffield import FieldSpec
 
-    first = weakref.ref(_field_for(5))
+    built = []
+    init = FieldSpec.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(FieldSpec, "__init__", recorded)
     code, _ = run(["verify", "all", "--q", "5,7", "--t", "2"])
-    assert code == 0
+    assert code == 0 and built
     gc.collect()
-    assert first() is None
-    assert _field_for(7).character_systems  # the latest field keeps its table
+    assert [ref() for ref in built] == [None] * len(built)
 
 
 def _all_subparsers(parser):

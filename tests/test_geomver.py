@@ -41,11 +41,20 @@ def test_unknown_entry_raises():
         verify_map("no_such_map")
 
 
-def test_trial_and_bits_preconditions():
+def test_trial_precondition():
     with pytest.raises(ValueError):
         verify_map("identity_sanity", trials=0)
-    with pytest.raises(ValueError):
-        verify_map("identity_sanity", prime_bits=20)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_constraints_are_quadratic_polynomials_in_their_variable(name):
+    # solve_step reads a constraint from its values at var = 0, 1, -1
+    import sympy as sp
+
+    for eq, var in CATALOG[name].solve_steps:
+        num, den = sp.fraction(sp.together(eq))
+        assert sp.degree(num, var) <= 2, (name, var)
+        assert not den.has(var), (name, var)
 
 
 def test_one_prime_per_trial(monkeypatch):
@@ -53,8 +62,8 @@ def test_one_prime_per_trial(monkeypatch):
 
     primes = []
 
-    def recording(rng, bits):
-        primes.append(modeval.random_prime(rng, bits))
+    def recording(rng):
+        primes.append(modeval.random_prime(rng))
         return primes[-1]
 
     monkeypatch.setattr(sz, "random_prime", recording)
@@ -62,6 +71,37 @@ def test_one_prime_per_trial(monkeypatch):
     assert r.passed and r.resamples > 0  # psi8 redraws degenerate points
     assert len(primes) == r.trials == 20
     assert all(p % 4 == 3 and p.bit_length() == 62 for p in primes)
+
+
+def test_degenerate_points_are_redrawn_up_to_the_cap(monkeypatch):
+    from hgmk3.geomver import modeval, sz
+
+    solved = []
+
+    def degenerate_at_first(*args):
+        solved.append(args)
+        if len(solved) <= 50:  # more than a sound entry needs, fewer than MAX_DRAWS
+            raise modeval.SampleDegenerateError("forced")
+        return modeval.solve_step(*args)
+
+    monkeypatch.setattr(sz, "solve_step", degenerate_at_first)
+    r = verify_map("identity_sanity", trials=1)
+    assert r.passed and r.attempts > 50
+
+    primes = []
+
+    def recording(rng):
+        primes.append(modeval.random_prime(rng))
+        return primes[-1]
+
+    def never(*args):
+        raise modeval.SampleDegenerateError("forced")
+
+    monkeypatch.setattr(sz, "random_prime", recording)
+    monkeypatch.setattr(sz, "solve_step", never)
+    with pytest.raises(modeval.SampleDegenerateError, match=f"{sz.MAX_DRAWS} degenerate"):
+        verify_map("identity_sanity", trials=3)
+    assert len(primes) == 1
 
 
 @pytest.mark.parametrize("p", [103, 107, 131])
@@ -94,20 +134,15 @@ def test_qt_section():
         assert r.passed
 
 
-def test_wrong_map_is_detected():
+def test_wrong_map_is_detected(monkeypatch):
     import dataclasses
 
     from hgmk3.geomver import maps as m
-    from hgmk3.geomver.sz import _run_entry
-    import random
 
-    bad = dataclasses.replace(
-        CATALOG["qt_section"],
-        name="qt_broken",
-        outputs=((m.X, m.QT_X + 1), (m.Y, m.QT_Y)),
-    )
-    r = _run_entry(bad, 4, 62, random.Random(1))
-    assert not r.passed and r.witness is not None
+    bad = dataclasses.replace(CATALOG["qt_section"], outputs=((m.X, m.QT_X + 1), (m.Y, m.QT_Y)))
+    monkeypatch.setitem(CATALOG, "qt_section", bad)
+    r = verify_map("qt_section", trials=4, seed=1)
+    assert not r.passed and r.failures == 4 and r.witness is not None
 
 
 def test_broken_chain_link_is_detected(monkeypatch):

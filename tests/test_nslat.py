@@ -98,8 +98,6 @@ def test_profile_invariants():
     with pytest.raises(LatticeError):
         SectionProfile(p_g2=1, p_g3=1)
     with pytest.raises(LatticeError):
-        SectionProfile(p_f7=0)
-    with pytest.raises(LatticeError):
         SectionProfile(p_O=-1)
 
 
