@@ -4,7 +4,10 @@ and CM table checks, with JSON-lines or CSV reports.
 Records are sorted by (check, q, t, name) and carry first-class skip reasons,
 so grid coverage is auditable and reruns of the same command are byte-identical
 (only `verify maps|qt` sample, from --seed).  A grid holds each q and each t
-once and may not be empty.  Each verb builds its fields afresh; the verifiers
+once and may not be empty.  The grid verbs (`verify bcm|lemma|trace|main|all`
+and `verify curve-theorem`) share one loop, `_run_grid`, which builds each
+field of the grid once, in this process.  The single-field verbs take the
+prime `--p` and the degree `--n` and build F_{p^n} as given.  The verifiers
 fetch the Gauss table cached on their field, and only `gauss-check` asks for
 one itself.  Exit codes:
 0 all pass, 1 any failure (a failed certification prints one
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy import factorint
+
+from .ffield import field_new
 
 SCHEMA_VERSION = "hgmk3/1"
 
@@ -77,26 +82,6 @@ class VerificationRecord:
         return ",".join("" if d[k] is None else str(d[k]) for k in RECORD_FIELDS)
 
 
-@dataclass
-class SweepConfig:
-    checks: tuple
-    q_list: tuple  # explicit odd prime powers
-    t_list: tuple  # exact rationals
-    fmt: str = "json-lines"
-    jobs: int = 1
-    timings: bool = False
-
-    def __post_init__(self):
-        if not self.q_list:
-            raise UsageError("empty q grid")
-        if not self.t_list:
-            raise UsageError("empty t list")
-        if 0 in self.t_list:
-            raise UsageError("t = 0 is not allowed")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
-
-
 class UsageError(ValueError):
     pass
 
@@ -146,61 +131,17 @@ def parse_rational_list(text):
 
 def _field_for(q):
     """The field of order q, after checking that q is an odd prime power."""
-    from .ffield import field_new
-
     return field_new(*_prime_power(q))
 
 
-def _records_for_q(args):
-    """All records of one field of the grid (worker unit for parallel runs)."""
-    q, t_list, checks, timings = args
-    from .k3count import (
-        verify_bcm_identity,
-        verify_main_identity,
-        verify_point_count_lemma,
-        verify_trace_corollary,
-    )
-
-    runners = {
-        "bcm": verify_bcm_identity,
-        "lemma": verify_point_count_lemma,
-        "trace": verify_trace_corollary,
-        "main": verify_main_identity,
-    }
-    field = _field_for(q)
-    out = []
-    for check in checks:
-        for t in t_list:
-            start = time.perf_counter()
-            rep = runners[check](field, t)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            out.append(VerificationRecord(
-                check=check, q=q, t=t,
-                passed=bool(rep.passed) or rep.skipped,
-                skipped=rep.skipped, reason=rep.reason,
-                lhs=rep.lhs, rhs=rep.rhs,
-                residual=rep.residual if not rep.skipped else None,
-                time_ms=round(elapsed, 3) if timings else None,
-            ))
-    return out
-
-
-def run_sweep(config, out=sys.stdout):
-    """Execute the configured checks over the grid; returns the exit code."""
-    work = [
-        (q, config.t_list, config.checks, config.timings)
-        for q in sorted(config.q_list)
-    ]
-    if config.jobs > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_records_for_q, work))
-    else:
-        chunks = [_records_for_q(w) for w in work]
-    records = sorted((r for chunk in chunks for r in chunk), key=VerificationRecord.sort_key)
-    emit_records(records, config.fmt, out)
-    return 0 if all(r.passed or r.skipped for r in records) else 1
+def _run_grid(q_list, cells, fmt, out):
+    """Emit the records that `cells(field)` yields for each field of the grid,
+    sorted; returns the exit code.  Each field is built once, in increasing q,
+    and dropped after its cells."""
+    records = [r for q in sorted(q_list) for r in cells(_field_for(q))]
+    records.sort(key=VerificationRecord.sort_key)
+    emit_records(records, fmt, out)
+    return 0 if all(r.passed for r in records) else 1
 
 
 def emit_records(records, fmt, out):
@@ -222,7 +163,7 @@ def _jdump(obj, out):
 
 
 def cmd_field_info(args, out):
-    f = _field_for(args.p**args.n)
+    f = field_new(args.p, args.n)
     _jdump({
         "p": f.p, "n": f.n, "q": f.q,
         "modulus": f.modulus,
@@ -234,7 +175,7 @@ def cmd_field_info(args, out):
 def cmd_gauss_check(args, out):
     from .charsum import get_character_system
 
-    f = _field_for(args.p**args.n)
+    f = field_new(args.p, args.n)
     cs = get_character_system(f)
     import numpy as np
 
@@ -253,7 +194,7 @@ def cmd_hgsum(args, out):
     from .hyperg import datum_from_parameters, hg_sum
 
     datum = datum_from_parameters(parse_rational_list(args.alpha), parse_rational_list(args.beta))
-    f = _field_for(args.p**args.n)
+    f = field_new(args.p, args.n)
     got = hg_sum(datum, f, f.parse_element(args.t))
     _jdump({
         "q": f.q,
@@ -268,7 +209,7 @@ def cmd_hgsum(args, out):
 def cmd_curve_count(args, out):
     from .ecount import WeierstrassCurve, count_points, trace
 
-    f = _field_for(args.p**args.n)
+    f = field_new(args.p, args.n)
     curve = WeierstrassCurve(
         f.parse_element(args.a2), f.parse_element(args.a4), f.parse_element(args.a6), f
     )
@@ -280,7 +221,7 @@ def cmd_curve_count(args, out):
 def cmd_count_surface(args, out):
     from .k3count import surface_count_report
 
-    f = _field_for(args.p**args.n)
+    f = field_new(args.p, args.n)
     rep = surface_count_report(f, Fraction(args.t))
     _jdump({
         "q": rep.q,
@@ -295,20 +236,46 @@ def cmd_count_surface(args, out):
     return 0 if rep.methods_agree else 1
 
 
-def _sweep_config_from_args(args, checks):
-    return SweepConfig(
-        checks=checks,
-        q_list=parse_q_list(args.q) if args.q else odd_prime_powers(args.pmin, args.pmax),
-        t_list=tuple(dict.fromkeys(parse_rational_list(args.t))),  # each t once
-        fmt=args.format,
-        jobs=args.jobs,
-        timings=args.timings,
+def cmd_verify_counts(args, out):
+    checks = CHECK_CHOICES if args.which == "all" else (args.which,)
+    q_list = parse_q_list(args.q) if args.q else odd_prime_powers(args.pmin, args.pmax)
+    t_list = tuple(dict.fromkeys(parse_rational_list(args.t)))  # each t once
+    if not q_list:
+        raise UsageError("empty q grid")
+    if not t_list:
+        raise UsageError("empty t list")
+    if 0 in t_list:
+        raise UsageError("t = 0 is not allowed")
+    from .k3count import (
+        verify_bcm_identity,
+        verify_main_identity,
+        verify_point_count_lemma,
+        verify_trace_corollary,
     )
 
+    runners = {
+        "bcm": verify_bcm_identity,
+        "lemma": verify_point_count_lemma,
+        "trace": verify_trace_corollary,
+        "main": verify_main_identity,
+    }
 
-def cmd_verify_counts(args, out):
-    checks = tuple(CHECK_CHOICES) if args.which == "all" else (args.which,)
-    return run_sweep(_sweep_config_from_args(args, checks), out)
+    def cells(field):
+        for check in checks:
+            for t in t_list:
+                start = time.perf_counter()
+                rep = runners[check](field, t)
+                elapsed = (time.perf_counter() - start) * 1000.0
+                yield VerificationRecord(
+                    check=check, q=field.q, t=t,
+                    passed=bool(rep.passed) or rep.skipped,
+                    skipped=rep.skipped, reason=rep.reason,
+                    lhs=rep.lhs, rhs=rep.rhs,
+                    residual=rep.residual if not rep.skipped else None,
+                    time_ms=round(elapsed, 3) if args.timings else None,
+                )
+
+    return _run_grid(q_list, cells, args.format, out)
 
 
 def cmd_verify_curve_theorem(args, out):
@@ -318,20 +285,18 @@ def cmd_verify_curve_theorem(args, out):
     for q in q_list:
         if q % 3 == 0:
             raise UsageError(f"q = {q}: the theorem needs gcd(q, 6) = 1")
-    records = []
-    for q in q_list:
-        field = _field_for(q)
-        for a in range(1, q):
-            for b in range(1, q):
+
+    def cells(field):
+        for a in range(1, field.q):
+            for b in range(1, field.q):
                 rep = verify_curve_trace_theorem(field, field.from_code(a), field.from_code(b))
-                records.append(VerificationRecord(
-                    check="curve-theorem", q=q, name=f"a={a},b={b}",
+                yield VerificationRecord(
+                    check="curve-theorem", q=field.q, name=f"a={a},b={b}",
                     passed=rep.passed, skipped=rep.skipped, reason=rep.reason,
                     lhs=rep.count, rhs=rep.rhs,
-                ))
-    records.sort(key=VerificationRecord.sort_key)
-    emit_records(records, args.format, out)
-    return 0 if all(r.passed for r in records) else 1
+                )
+
+    return _run_grid(q_list, cells, args.format, out)
 
 
 def cmd_verify_maps(args, out):
@@ -469,8 +434,8 @@ def cmd_report_schema(args, out):
 # ---------------------------------------------------------------------------
 
 def _add_field_args(p):
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--p", type=int, required=True, help="the prime")
+    p.add_argument("--n", type=int, default=1, help="the extension degree")
 
 
 def _add_sweep_args(p):
@@ -479,7 +444,6 @@ def _add_sweep_args(p):
     p.add_argument("--q", type=str, default=None, help="explicit comma-separated q list")
     p.add_argument("--t", type=str, required=True, help="comma-separated rationals")
     p.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true")
 
 
@@ -599,11 +563,13 @@ def _input_errors():
 
 
 def _certification_errors():
-    """A value that missed its certification: a failed check, not a usage error."""
+    """A value that missed its certification, or a sampler that gave up: a failed
+    check, not a usage error."""
     from .charsum import PrecisionError
+    from .geomver.modeval import SampleDegenerateError
     from .hyperg import IntegrityError
 
-    return PrecisionError, IntegrityError
+    return PrecisionError, IntegrityError, SampleDegenerateError
 
 
 def main(argv=None, out=None):

@@ -10,7 +10,6 @@ out of scope and taken as fixture.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
@@ -20,13 +19,6 @@ from sympy import Poly, Symbol, factorint, isprime
 
 from .ffield import DomainError
 from .geomver import j_invariants_pair, j_pair_coefficients
-
-FACTOR_LIMIT = 10**6
-
-
-class FactoringError(ArithmeticError):
-    """Raised when the squarefree part cannot be certified by trial division."""
-
 
 @cache
 def _data():
@@ -68,27 +60,15 @@ def chi_discriminant(t):
 
 
 def squarefree_part(r):
-    """Exact squarefree part of a nonzero rational (num*den modulo squares).
-
-    Trial division up to 10^6 with an exactness guard: an unfactored composite
-    cofactor raises instead of silently returning a wrong field.
-    """
+    """Exact squarefree part of a nonzero rational (num*den modulo squares)."""
     r = Fraction(r)
     if r == 0:
         raise ValueError("squarefree part of 0")
-    n = abs(r.numerator * r.denominator)
-    sign = -1 if r < 0 else 1
-    out = 1
-    fac = factorint(n, limit=FACTOR_LIMIT)
-    for base, exp in fac.items():
-        if base > FACTOR_LIMIT and not isprime(base):
-            root = math.isqrt(base)
-            if root * root == base:  # unfactored square cofactor is still exact
-                continue
-            raise FactoringError(f"cofactor {base} not certified prime")
+    out = -1 if r < 0 else 1
+    for base, exp in factorint(abs(r.numerator * r.denominator)).items():
         if exp % 2:
             out *= base
-    return sign * out
+    return out
 
 
 def classify_t(t):

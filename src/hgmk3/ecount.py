@@ -9,8 +9,10 @@ loop q + 1 + sum_x chi(f(x)), which also serves as the oracle for the fast
 count.  Curves with a2 != 0 are counted directly without completing the cube,
 so characteristic 3 needs no special casing.
 
-`trace_over_extension` (a_{q^n} from a_q) is public API that only the tests
-call: an oracle tying counts over F_{q^n} to counts over F_q.
+`trace_over_extension` (a_{q^n} from a_q) and `WeierstrassCurve.reduce` (a
+rational model into F_q) are public API that only the tests call: oracles
+tying counts over F_{q^n} to counts over F_q, and rational models to their
+reductions.
 """
 
 from __future__ import annotations
@@ -97,25 +99,21 @@ MESTRE_MIN_P = 3500
 MESTRE_MAX_POINTS = 40
 
 
-def count_points(curve, field=None):
+def count_points(curve):
     """|E(F_q)|, including the point at infinity; the curve must be nonsingular."""
-    if field is None:
-        field = curve.field
-    if curve.field is None:
-        curve = curve.reduce(field)
+    field = curve.field
     if curve.is_singular():
         raise SingularCurveError(curve.discriminant())
     if field.n == 1 and field.p >= MESTRE_MIN_P:
         n = count_points_mestre(field.p, curve.a2.code, curve.a4.code, curve.a6.code)
         if n is not None:
             return n
-    return count_points_character(curve, field)
+    return count_points_character(curve)
 
 
-def count_points_character(curve, field=None):
+def count_points_character(curve):
     """|E(F_q)| = q + 1 + sum_x chi(f(x)) over codes: the O(q) oracle on any F_q."""
-    if field is None:
-        field = curve.field
+    field = curve.field
     x = np.arange(field.q, dtype=np.int32)
     a2, a4, a6 = (np.int32(c.code) for c in (curve.a2, curve.a4, curve.a6))
     f = field.mul_codes(
@@ -233,11 +231,9 @@ def count_points_mestre(p, a2, a4, a6):
     return None
 
 
-def trace(curve, field=None):
+def trace(curve):
     """Frobenius trace a_q = q + 1 - |E(F_q)|."""
-    if field is None:
-        field = curve.field
-    return field.q + 1 - count_points(curve, field)
+    return curve.field.q + 1 - count_points(curve)
 
 
 def e1_e2(t, S, field=None):

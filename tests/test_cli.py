@@ -9,7 +9,6 @@ import pytest
 from hgmk3.charsum import PrecisionError
 from hgmk3.cli import (
     RECORD_FIELDS,
-    SweepConfig,
     UsageError,
     build_parser,
     main,
@@ -47,9 +46,10 @@ def test_parse_rational_list():
         parse_rational_list("1/0")
 
 
-def test_empty_t_list_is_usage_error():
-    with pytest.raises(UsageError):
-        SweepConfig(checks=("bcm",), q_list=(5,), t_list=())
+def test_empty_t_list_is_usage_error(capsys):
+    code, out = run(["verify", "bcm", "--q", "5", "--t", ""])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_field_info_verb():
@@ -112,14 +112,25 @@ def test_verify_extension_field_cell():
     assert rec["q"] == 9 and rec["pass"] and not rec["skipped"]
 
 
-def test_sweep_determinism_and_parallel_match():
+def test_sweep_determinism():
     argv = ["verify", "all", "--pmax", "11", "--t", "2,81/256"]
     code1, out1 = run(argv)
     code2, out2 = run(argv)
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3 = run(argv + ["--jobs", "2"])
-    assert code3 == 0 and out3 == out1
+
+
+def test_timings_change_only_time_ms():
+    argv = ["verify", "all", "--q", "7,9", "--t", "2,81/256"]
+    code, plain = run(argv)
+    timed_code, timed = run(argv + ["--timings"])
+    assert code == timed_code == 0
+    plain = [json.loads(line) for line in plain.splitlines()]
+    timed = [json.loads(line) for line in timed.splitlines()]
+    assert len(timed) == len(plain) == 4 * 2 * 2  # checks x q x t
+    for untimed, rec in zip(plain, timed):
+        assert isinstance(rec["time_ms"], float) and rec["time_ms"] >= 0
+        assert {**rec, "time_ms": None} == untimed
 
 
 def test_csv_output_matches_field_order():
@@ -250,6 +261,10 @@ def test_sweep_verbs_take_no_seed():
         with pytest.raises(SystemExit) as exc:
             main(["verify", which, "--q", "7", "--t", "2", "--seed", "3"])
         assert exc.value.code == 2
+    # a sweep runs in this process; there is no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--q", "7", "--t", "2", "--jobs", "2"])
+    assert exc.value.code == 2
     # si-params, x0-2 and the CM classification are exact proofs, so they take no seed either
     for argv in (["verify", "si-params"], ["verify", "x0-2"], ["cm", "verify"]):
         with pytest.raises(SystemExit) as exc:
@@ -295,8 +310,8 @@ def test_bad_q_is_a_usage_error(argv):
     ["verify", "qt", "--trials", "0"],
     ["verify", "all", "--pmin", "60", "--pmax", "50", "--t", "2"],  # empty q grid
     ["verify", "bcm", "--pmax", "2", "--t", "2"],
-    ["verify", "bcm", "--q", "7", "--t", "2", "--jobs", "0"],  # was a serial run
-    ["verify", "all", "--q", "7", "--t", "2", "--jobs", "-3"],
+    ["verify", "bcm", "--q", "5", "--t", "0"],
+    ["field-info", "--p", "9", "--n", "2"],  # FieldConstructionError: p = 9 is not prime
 ])
 def test_domain_error_is_a_usage_error(argv, capsys):
     code, out = run(argv)
@@ -329,6 +344,16 @@ def test_only_selects_the_psi_chain(capsys):
     code, out = run(["verify", "maps", "--only", "nosuch"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "usage error: no catalog entry named 'nosuch'\n"
+
+
+def test_sampler_that_gives_up_exits_1_without_traceback(monkeypatch, capsys):
+    from hgmk3.geomver import sz
+
+    monkeypatch.setattr(sz, "MAX_DRAWS", 0)
+    code, out = run(["verify", "maps", "--only", "psi5", "--trials", "1"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("certification failed: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("error", [PrecisionError, IntegrityError], ids=lambda e: e.__name__)
