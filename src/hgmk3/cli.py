@@ -1,32 +1,34 @@
 """Command-line frontend: sweeps over (q, t) grids, map verification, lattice
 and CM table checks, with JSON-lines or CSV reports.
 
-Records are sorted by (check, q, t, name) and carry first-class skip reasons,
-so grid coverage is auditable and reruns of the same command are byte-identical
-(only `verify maps|qt` sample, from --seed).  A grid holds each q and each t
-once and may not be empty.  The grid verbs (`verify bcm|lemma|trace|main|all`
-and `verify curve-theorem`) share one loop, `_run_grid`, which builds each
-field of the grid once, in this process.  The single-field verbs take the
-prime `--p` and the degree `--n` and build F_{p^n} as given.  The verifiers
-fetch the Gauss table cached on their field, and only `gauss-check` asks for
-one itself.  Exit codes:
-0 all pass, 1 any failure (a failed certification prints one
-`certification failed: ...` line), 2 usage error (a malformed or
-out-of-domain argument).
+Each record is a `k3count.CheckReport`, the type the library verifiers
+return, printed in RECORD_FIELDS order by `emit_records` (CSV fields that hold
+a comma are quoted).  Records are sorted by (check, q, t, name) and carry
+first-class skip reasons, so grid coverage is auditable and reruns of the same
+command are byte-identical (only `verify maps|qt` sample, from --seed).  A
+grid holds each q and each t once and may not be empty.  The grid verbs
+(`verify bcm|lemma|trace|main|all` and `verify curve-theorem`) share one loop,
+`_run_grid`, which builds each field of the grid once, in this process.  The
+single-field verbs take the prime `--p` and the degree `--n` and build F_{p^n}
+as given.  The verifiers fetch the Gauss table cached on their field, and only
+`gauss-check` asks for one itself.  Exit codes: 0 all pass, 1 any failure (a
+failed certification prints one `certification failed: ...` line), 2 usage
+error (a malformed or out-of-domain argument, such as `--t abc`).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy import factorint
 
 from .ffield import field_new
+from .k3count import CheckReport
 
 SCHEMA_VERSION = "hgmk3/1"
 
@@ -36,50 +38,6 @@ RECORD_FIELDS = (
 )
 
 CHECK_CHOICES = ("bcm", "lemma", "trace", "main")
-
-
-@dataclass
-class VerificationRecord:
-    check: str
-    q: int = None
-    t: Fraction = None
-    name: str = None
-    passed: bool = True
-    skipped: bool = False
-    reason: str = None
-    lhs: object = None
-    rhs: object = None
-    residual: float = None
-    time_ms: float = None
-
-    def sort_key(self):
-        tkey = Fraction(0) if self.t is None else self.t
-        return (self.check, self.q or 0, tkey, self.name or "")
-
-    def as_dict(self):
-        def enc(v):
-            return str(v) if isinstance(v, Fraction) else v  # "num/den", or "num" at den 1
-
-        return {
-            "check": self.check,
-            "q": self.q,
-            "t": enc(self.t),
-            "name": self.name,
-            "pass": self.passed,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "lhs": enc(self.lhs),
-            "rhs": enc(self.rhs),
-            "residual": self.residual,
-            "time_ms": self.time_ms,
-        }
-
-    def as_json(self):
-        return json.dumps(self.as_dict(), separators=(", ", ": "), sort_keys=False)
-
-    def as_csv_row(self):
-        d = self.as_dict()
-        return ",".join("" if d[k] is None else str(d[k]) for k in RECORD_FIELDS)
 
 
 class UsageError(ValueError):
@@ -129,6 +87,14 @@ def parse_rational_list(text):
         raise UsageError(f"bad rational list {text!r}: {e}") from None
 
 
+def parse_rational(text):
+    """One rational, read as a list that must hold exactly one."""
+    values = parse_rational_list(text)
+    if len(values) != 1:
+        raise UsageError(f"expected one rational, got {text!r}")
+    return values[0]
+
+
 def _field_for(q):
     """The field of order q, after checking that q is an odd prime power."""
     return field_new(*_prime_power(q))
@@ -139,19 +105,35 @@ def _run_grid(q_list, cells, fmt, out):
     sorted; returns the exit code.  Each field is built once, in increasing q,
     and dropped after its cells."""
     records = [r for q in sorted(q_list) for r in cells(_field_for(q))]
-    records.sort(key=VerificationRecord.sort_key)
+    return _emit_sorted(records, fmt, out)
+
+
+def _sort_key(r):
+    return (r.check, r.q or 0, Fraction(0) if r.t is None else r.t, r.name or "")
+
+
+def _emit_sorted(records, fmt, out):
+    """Emit the records sorted by (check, q, t, name); returns the exit code."""
+    records.sort(key=_sort_key)
     emit_records(records, fmt, out)
     return 0 if all(r.passed for r in records) else 1
 
 
+def _as_dict(r):
+    """A CheckReport as one record: RECORD_FIELDS in order, Fractions as "num/den"
+    (or "num" at den 1)."""
+    d = {k: getattr(r, "passed" if k == "pass" else k) for k in RECORD_FIELDS}
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in d.items()}
+
+
 def emit_records(records, fmt, out):
     if fmt == "csv":
-        print(",".join(RECORD_FIELDS), file=out)
-        for r in records:
-            print(r.as_csv_row(), file=out)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows(_as_dict(r).values() for r in records)
     else:
         for r in records:
-            print(r.as_json(), file=out)
+            print(json.dumps(_as_dict(r), separators=(", ", ": ")), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +159,11 @@ def cmd_gauss_check(args, out):
 
     f = field_new(args.p, args.n)
     cs = get_character_system(f)
-    import numpy as np
-
-    mods = np.abs(cs.gauss[1:]) ** 2
     _jdump({
         "q": f.q,
         "precision": cs.precision,
         "residual": cs.residual,
-        "max_relative_deviation": float(np.max(np.abs(mods - f.q)) / f.q),
+        "max_relative_deviation": cs.residual / f.q,
         "tolerance_ok": True,
     }, out)
     return 0
@@ -222,7 +201,7 @@ def cmd_count_surface(args, out):
     from .k3count import surface_count_report
 
     f = field_new(args.p, args.n)
-    rep = surface_count_report(f, Fraction(args.t))
+    rep = surface_count_report(f, parse_rational(args.t))
     _jdump({
         "q": rep.q,
         "t": args.t,
@@ -265,15 +244,9 @@ def cmd_verify_counts(args, out):
             for t in t_list:
                 start = time.perf_counter()
                 rep = runners[check](field, t)
-                elapsed = (time.perf_counter() - start) * 1000.0
-                yield VerificationRecord(
-                    check=check, q=field.q, t=t,
-                    passed=bool(rep.passed) or rep.skipped,
-                    skipped=rep.skipped, reason=rep.reason,
-                    lhs=rep.lhs, rhs=rep.rhs,
-                    residual=rep.residual if not rep.skipped else None,
-                    time_ms=round(elapsed, 3) if args.timings else None,
-                )
+                if args.timings:
+                    rep.time_ms = round((time.perf_counter() - start) * 1000.0, 3)
+                yield rep
 
     return _run_grid(q_list, cells, args.format, out)
 
@@ -290,8 +263,8 @@ def cmd_verify_curve_theorem(args, out):
         for a in range(1, field.q):
             for b in range(1, field.q):
                 rep = verify_curve_trace_theorem(field, field.from_code(a), field.from_code(b))
-                yield VerificationRecord(
-                    check="curve-theorem", q=field.q, name=f"a={a},b={b}",
+                yield CheckReport(
+                    "curve-theorem", field.q, name=f"a={a},b={b}",
                     passed=rep.passed, skipped=rep.skipped, reason=rep.reason,
                     lhs=rep.count, rhs=rep.rhs,
                 )
@@ -307,22 +280,18 @@ def cmd_verify_maps(args, out):
     if not only or only == "psi_chain":
         reports += verify_chain_psi(args.trials, args.seed)
     records = [
-        VerificationRecord(
-            check="maps", name=r.name, passed=r.passed,
-            lhs=r.trials, rhs=r.failures, residual=r.miss_probability_bound,
-        )
+        CheckReport("maps", name=r.name, passed=r.passed,
+                    lhs=r.trials, rhs=r.failures, residual=r.miss_probability_bound)
         for r in reports
     ]
-    records.sort(key=VerificationRecord.sort_key)
-    emit_records(records, args.format, out)
-    return 0 if all(r.passed for r in records) else 1
+    return _emit_sorted(records, args.format, out)
 
 
 def cmd_verify_si_params(args, out):
     from .geomver import verify_si_parameters
 
     rep = verify_si_parameters()
-    _jdump({"check": rep.name, "pass": rep.passed, "h=1": rep.detail.get("h=1")}, out)
+    _jdump({"check": rep.check, "pass": rep.passed, "h=1": rep.detail.get("h=1")}, out)
     return 0 if rep.passed else 1
 
 
@@ -339,7 +308,7 @@ def cmd_verify_x0_2(args, out):
     from .geomver import x0_2_checks
 
     rep = x0_2_checks()
-    _jdump({"check": rep.name, "pass": rep.passed,
+    _jdump({"check": rep.check, "pass": rep.passed,
             "identities": {k: bool(v) for k, v in rep.detail.items()}}, out)
     return 0 if rep.passed else 1
 
@@ -347,7 +316,7 @@ def cmd_verify_x0_2(args, out):
 def cmd_fibration_profile(args, out):
     from .geomver import kodaira_profile
 
-    prof = kodaira_profile(args.model, Fraction(args.t))
+    prof = kodaira_profile(args.model, parse_rational(args.t))
     for place in prof.places:
         _jdump({
             "model": prof.model, "t": args.t, "place": place.place,
@@ -403,21 +372,16 @@ def cmd_cm(args, out):
     )
 
     if args.which == "classify":
-        _jdump({"t": args.t, "class": classify_t(Fraction(args.t))}, out)
+        _jdump({"t": args.t, "class": classify_t(parse_rational(args.t))}, out)
         return 0
     if args.which == "verify":
-        ok = True
-        for check in verify_rational_cm():
-            ok &= check.passed
-            _jdump({"check": "cm-rational", "t": str(check.t), "pass": check.passed}, out)
-        for check in verify_quadratic_cm():
-            ok &= check.passed
-            _jdump({"check": "cm-quadratic", "t": str(check.t), "pass": check.passed}, out)
+        checks = verify_rational_cm() + verify_quadratic_cm()
+        for check in checks:
+            _jdump({"check": check.check, "t": str(check.t), "pass": check.passed}, out)
         consistency = verify_classification_consistency()
-        ok &= consistency.passed
-        _jdump({"check": "cm-consistency", "pass": consistency.passed}, out)
-        return 0 if ok else 1
-    rows = cm_trace_survey(Fraction(args.t), args.pmax)
+        _jdump({"check": consistency.check, "pass": consistency.passed}, out)
+        return 0 if consistency.passed and all(c.passed for c in checks) else 1
+    rows = cm_trace_survey(parse_rational(args.t), args.pmax)
     for row in rows:
         _jdump({"t": args.t, "p": row.p, "T": row.T, "a_squared": row.a_sq,
                 "kronecker_D": row.kronecker_D}, out)

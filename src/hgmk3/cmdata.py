@@ -10,7 +10,7 @@ out of scope and taken as fixture.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -19,6 +19,7 @@ from sympy import Poly, Symbol, factorint, isprime
 
 from .ffield import DomainError
 from .geomver import j_invariants_pair, j_pair_coefficients
+from .k3count import CheckReport
 
 @cache
 def _data():
@@ -83,13 +84,6 @@ def classify_t(t):
     return "generic"
 
 
-@dataclass
-class CMCheck:
-    t: Fraction
-    passed: bool
-    detail: dict = dc_field(default_factory=dict)
-
-
 def verify_rational_cm():
     """Every S1 row: the j-pair is rational, contains the stored j, and lies in
     the thirteen-element rational CM list."""
@@ -105,7 +99,7 @@ def verify_rational_cm():
             and expected in values
             and all(v.denominator == 1 and int(v) in j13 for v in values)
         )
-        out.append(CMCheck(t, passed, detail))
+        out.append(CheckReport("cm-rational", t=t, passed=passed, detail=detail))
     return out
 
 
@@ -124,7 +118,7 @@ def verify_quadratic_cm():
             and pair.radical_coeff != 0
             and sf == m
         )
-        out.append(CMCheck(t, passed, detail))
+        out.append(CheckReport("cm-quadratic", t=t, passed=passed, detail=detail))
     return out
 
 
@@ -141,8 +135,8 @@ def verify_classification_consistency():
         for root in ((j - A) ** 2 - B**2 * t * (t - 1)).ground_roots():
             r = Fraction(int(root.p), int(root.q))
             if r != 0 and r not in s1:
-                return CMCheck(r, False, {"j": j})
-    return CMCheck(Fraction(0), True)
+                return CheckReport("cm-consistency", t=r, passed=False, detail={"j": j})
+    return CheckReport("cm-consistency")
 
 
 @dataclass

@@ -99,22 +99,13 @@ def _poly_sub(a, b, p):
 
 
 def _is_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial given as a low-first coefficient list."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
+    """Ben-Or test for a monic polynomial given as a low-first coefficient list:
+    f of degree n is irreducible iff gcd(f, x^(p^i) - x) = 1 for every i <= n/2."""
     x = [0, 1]
     xq = x
-    for _ in range(n):
+    for _ in range((len(coeffs) - 1) // 2):
         xq = _poly_pow_mod(xq, p, coeffs, p)
-    if _poly_sub(xq, x, p):  # need x^(p^n) == x (mod f)
-        return False
-    for r in factorint(n):
-        xq = x
-        for _ in range(n // r):
-            xq = _poly_pow_mod(xq, p, coeffs, p)
-        g = _poly_gcd(coeffs, _poly_sub(xq, x, p), p)
-        if len(g) != 1:
+        if len(_poly_gcd(coeffs, _poly_sub(xq, x, p), p)) != 1:
             return False
     return True
 
@@ -240,19 +231,17 @@ class FieldSpec:
         self.dlog = dlog
         # zech[k] = dlog(g^k + 1); adding 1 changes only the constant digit of a code
         self.zech = dlog[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
-        # absolute trace, F_p-linear on the power basis: extend the table over
-        # codes [0, p^j) to [0, p^(j+1)) with the trace of x^j
+        # absolute trace, F_p-linear on the power basis: Tr(x^j) is the power sum
+        # s_j of the roots of the modulus c (monic, low first), by Newton's
+        # identities s_j = -(j c[n-j] + sum_{i<j} c[n-i] s_{j-i}) with s_0 = n.
+        # The table over codes [0, p^j) extends to [0, p^(j+1)) with Tr(x^j).
+        c = self.modulus
+        s = [n % p]
+        for j in range(1, n):
+            s.append(-(j * c[n - j] + sum(c[n - i] * s[j - i] for i in range(1, j))) % p)
         trace = np.zeros(1, dtype=np.int64)
-        for j in range(n):
-            acc = [0] * n
-            cur = _poly_rem([0] * j + [1], self.modulus, p)
-            for _ in range(n):
-                for i, c in enumerate(cur):
-                    acc[i] = (acc[i] + c) % p
-                cur = _poly_pow_mod(cur, p, self.modulus, p)
-            if any(acc[1:]):
-                raise FieldConstructionError("trace of basis element not in F_p")
-            trace = ((np.arange(p, dtype=np.int64)[:, None] * acc[0] + trace) % p).ravel()
+        for sj in s:
+            trace = ((np.arange(p, dtype=np.int64)[:, None] * sj + trace) % p).ravel()
         self.trace = trace.astype(np.int32)
 
     # -- vectorised code arithmetic ------------------------------------------
@@ -349,12 +338,17 @@ class FieldSpec:
             yield FqElem(self, k)
 
     def parse_element(self, text):
-        """CLI/JSON encoding: an integer for prime fields, "[c0,c1,...]" otherwise."""
+        """CLI/JSON encoding: an integer for prime fields, "[c0,c1,...]" otherwise;
+        any other text is a DomainError."""
         text = text.strip()
+        parts = [text]
         if text.startswith("["):
-            coeffs = [int(c) for c in text.strip("[]").split(",") if c.strip()]
-            return self.from_coeffs(coeffs)
-        return self.from_int(int(text))
+            parts = [c for c in text.strip("[]").split(",") if c.strip()]
+        try:
+            coeffs = [int(c) for c in parts]
+        except ValueError:
+            raise DomainError(f"{text!r} is neither an integer nor [c0,c1,...]") from None
+        return self.from_coeffs(coeffs)  # an integer is its own constant coefficient
 
     def format_element(self, x):
         if self.n == 1:

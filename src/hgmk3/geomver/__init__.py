@@ -12,7 +12,6 @@ from .kodaira import (
 from .maps import CATALOG, PSI_CHAIN, RationalMap
 from .sz import (
     CatalogError,
-    ExactCheckReport,
     MapReport,
     verify_Qt_on_curve,
     verify_all_maps,
@@ -26,7 +25,6 @@ __all__ = [
     "CATALOG",
     "PSI_CHAIN",
     "CatalogError",
-    "ExactCheckReport",
     "FibrationError",
     "FibrationProfile",
     "JPair",

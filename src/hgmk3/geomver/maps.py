@@ -34,7 +34,13 @@ class RationalMap:
 
     @cached_property
     def degree_bound(self):
-        """Total-degree bound of the cleared target equations (for the SZ bound)."""
+        """Largest total degree of the cleared target equations.
+
+        This is the degree of the target alone, not of the target pulled back
+        through the map and the solved constraints, so the Schwartz-Zippel
+        figure built from it (sz.MapReport.miss_probability_bound) is an
+        estimate, not a proven bound.
+        """
         nums = (sp.fraction(sp.together(eq))[0] for eq in self.target_eqs)
         return max((int(sp.total_degree(sp.expand(num))) for num in nums), default=0)
 

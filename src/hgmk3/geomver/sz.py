@@ -11,10 +11,16 @@ catalog entry with a run of its own.  A degenerate point is redrawn under the
 trial's prime, so a run of n trials draws exactly n primes; fewer than 1 trial
 is a DomainError.  MAX_DRAWS degenerate points in a row raise
 SampleDegenerateError; a catalog point degenerates with probability below
-4/5, so a sound entry does that with probability below 10^-19 per trial.  A
-wrong map of cleared total degree D slips past one trial with probability at
-most D / 2^61; the per-run bound reported is that value to the power of the
-trials.
+4/5, so a sound entry does that with probability below 10^-19 per trial.
+
+The reported `miss_probability_bound` is (D / 2^61)^trials, with D the
+entry's `degree_bound` (the largest over the links for the psi chain).  D is
+the total degree of the cleared target equation alone, not of what a trial
+evaluates: the target pulled back through the map and the solved
+constraints, of higher degree in general.  So the figure is a Schwartz-Zippel
+estimate, not a proven bound on the chance that a wrong map passes.
+
+The exact checks return a `k3count.CheckReport`: "si_parameters" and "x0_2".
 
 The Shioda-Inose parameter system and the X_0(2) identities are closed forms
 over Q, so `_is_zero` proves each one by cancelling it to 0 as a rational
@@ -24,13 +30,14 @@ function; nothing there is sampled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
 
 from ..ecount import WeierstrassCurve
 from ..ffield import DomainError
+from ..k3count import CheckReport
 from .kodaira import j_pair_coefficients
 from .maps import CATALOG, PSI_CHAIN, RationalMap
 from .modeval import PRIME_BITS, SampleDegenerateError, eval_mod, random_prime, solve_step
@@ -158,13 +165,6 @@ def verify_Qt_on_curve(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 # exact checks: the five-variable parameter system and the modular curve
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExactCheckReport:
-    name: str
-    passed: bool
-    detail: dict = dc_field(default_factory=dict)
-
-
 def _si_sym():
     h, g, a, b, c, d, t = sp.symbols("h g a b c d t")
     param = {
@@ -225,7 +225,7 @@ def verify_si_parameters():
     failed = [name for name, expr in identities.items() if not _is_zero(expr)]
     if failed:
         detail["failed"] = failed
-    return ExactCheckReport("si_parameters", bool(ok) and not failed, detail)
+    return CheckReport("si_parameters", passed=bool(ok) and not failed, detail=detail)
 
 
 def _x0_2_sym():
@@ -266,4 +266,4 @@ def x0_2_checks():
     sv = Fraction(-av**2 + 8 * bv, av**2)
     tv = Fraction(av**4, 16 * (av**2 - 4 * bv) * bv)
     detail["exact (a,b)=(3,1)"] = sv * sv == (tv - 1) / tv
-    return ExactCheckReport("x0_2", all(detail.values()), detail)
+    return CheckReport("x0_2", passed=all(detail.values()), detail=detail)

@@ -48,17 +48,25 @@ def _t_mod(field, t):
 
 @dataclass
 class CheckReport:
-    """One verification record, suitable for JSON-lines output."""
+    """One verification record, suitable for JSON-lines output.
+
+    Every check the package makes ends in one: the count identities here, the
+    exact geometry proofs (geomver.sz), the CM table (cmdata) and each CLI
+    record.  A skipped check passes and has no residual; q, t and name are None
+    where the check has none.  `detail` is never printed.
+    """
 
     check: str
-    q: int
-    t: Fraction
+    q: int = None
+    t: Fraction = None
+    name: str = None
     passed: bool = True
-    lhs: object = None
-    rhs: object = None
-    residual: float = 0.0
     skipped: bool = False
     reason: str = None
+    lhs: object = None
+    rhs: object = None
+    residual: float = None
+    time_ms: float = None
     detail: dict = dc_field(default_factory=dict)
 
 
@@ -248,7 +256,7 @@ def verify_point_count_lemma(field, t):
     affine = count_affine(field, t)
     rhs = 22 * q - 2 + affine
     return CheckReport(
-        "lemma", q, t, passed=total == rhs, lhs=total, rhs=rhs,
+        "lemma", q, t, passed=total == rhs, lhs=total, rhs=rhs, residual=0.0,
         detail={"breakdown": breakdown, "affine": affine},
     )
 
@@ -293,7 +301,7 @@ def verify_main_identity(field, t, cs=None):
     roots = [S0, -S0]
     inv_t = one / t_mod
     if any(one - S * S != inv_t for S in roots):
-        return CheckReport("main", q, t, passed=False, reason="1 - S^2 != 1/t")
+        return CheckReport("main", q, t, passed=False, reason="1 - S^2 != 1/t", residual=0.0)
     h3 = hg_H3(field, inv_t, cs=cs)
     h2_at = {}  # z depends only on sign * S, so two cells share each z
     cells = []
@@ -322,7 +330,7 @@ def verify_main_identity(field, t, cs=None):
     first_bad = next((c for c in live if not c["pass"]), live[0])
     return CheckReport(
         "main", q, t, passed=passed,
-        lhs=first_bad["qH2"] ** 2 - q, rhs=h3,
+        lhs=first_bad["qH2"] ** 2 - q, rhs=h3, residual=0.0,
         detail={"cells": cells},
     )
 

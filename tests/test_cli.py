@@ -1,6 +1,7 @@
 """CLI verbs, record schema, determinism, skip records, exit codes."""
 
 import argparse
+import csv
 import io
 import json
 
@@ -139,6 +140,18 @@ def test_csv_output_matches_field_order():
     lines = out.splitlines()
     assert lines[0] == ",".join(RECORD_FIELDS)
     assert lines[1].startswith("bcm,7,2,")
+    # a field holding a comma is quoted: the reason "gcd(q, 6) != 1", the names "a=1,b=1"
+    for argv in (["verify", "main", "--q", "9", "--t", "2"], ["verify", "curve-theorem", "--q", "5"]):
+        code, out = run(argv + ["--format", "csv"])
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == list(RECORD_FIELDS)
+        code, out = run(argv)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert rows and len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert len(row) == len(RECORD_FIELDS)
+            assert row == ["" if v is None else str(v) for v in rec.values()]
 
 
 def test_verify_maps_single_entry():
@@ -312,6 +325,12 @@ def test_bad_q_is_a_usage_error(argv):
     ["verify", "bcm", "--pmax", "2", "--t", "2"],
     ["verify", "bcm", "--q", "5", "--t", "0"],
     ["field-info", "--p", "9", "--n", "2"],  # FieldConstructionError: p = 9 is not prime
+    ["count", "surface", "--p", "7", "--t", "abc"],  # a malformed single rational
+    ["fibration", "profile", "--model", "inose", "--t", "1/0"],
+    ["cm", "classify", "--t", "1/0"],
+    ["cm", "survey", "--t", "x"],
+    ["hgsum", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "1/2"],  # not an element
+    ["curve", "count", "--p", "7", "--a2", "x", "--a4", "1", "--a6", "1"],
 ])
 def test_domain_error_is_a_usage_error(argv, capsys):
     code, out = run(argv)

@@ -1,16 +1,19 @@
 """Field layer: deterministic construction, dlog, squares, trace, Frobenius."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import divisors, mobius
 
 from hgmk3.ffield import (
     DomainError,
     FieldConstructionError,
     ReductionError,
+    _is_irreducible,
     _poly_mul_mod,
     _poly_trim,
     dlog,
@@ -220,6 +223,16 @@ def test_tables_match_scalar_reference(p, n):
     assert f.trace.tolist() == trace
     assert f.zech[(f.q - 1) // 2] == -1  # 1 + g^((q-1)/2) = 1 - 1 = 0
     assert {a.dtype for a in (f.exp, f.dlog, f.zech, f.trace)} == {np.dtype(np.int32)}
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+                                 (5, 1), (5, 2), (5, 3), (7, 2)])
+def test_irreducible_count_is_gauss_count(p, n):
+    """The monic polynomials of degree n that pass the test number
+    (1/n) sum_{d | n} mu(d) p^(n/d)."""
+    passed = sum(_is_irreducible(list(tail) + [1], p) for tail in product(range(p), repeat=n))
+    gauss = sum(mobius(d) * p ** (n // d) for d in divisors(n)) // n
+    assert passed == gauss
 
 
 def test_rational_reduction():
