@@ -15,6 +15,8 @@ from functools import cached_property
 import sympy as sp
 from sympy import Rational as R
 
+from .modeval import together_degree
+
 x, y, z, s, t, u, v, S, X, Y, Yp, u1, x1, x2, rho = sp.symbols(
     "x y z s t u v S X Y Yp u1 x1 x2 rho"
 )
@@ -36,13 +38,14 @@ class RationalMap:
     def degree_bound(self):
         """Largest total degree of the cleared target equations.
 
+        The degree is read off the walk that compiles each equation for
+        sampling (modeval.together_degree), counted before any cancellation.
         This is the degree of the target alone, not of the target pulled back
         through the map and the solved constraints, so the Schwartz-Zippel
         figure built from it (sz.MapReport.miss_probability_bound) is an
         estimate, not a proven bound.
         """
-        nums = (sp.fraction(sp.together(eq))[0] for eq in self.target_eqs)
-        return max((int(sp.total_degree(sp.expand(num))) for num in nums), default=0)
+        return max((together_degree(eq) for eq in self.target_eqs), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,21 @@ means picking a random 62-bit prime p, random values for the free variables,
 solving each constraint (degree <= 2) from its equation with modular square
 roots, and pushing values through the tree.  Primes come deterministically
 from the run seed and are 3 mod 4, so a square root is one exponentiation.
+
+Each expression is compiled once, on first use, into straight-line Python
+source: one assignment per distinct subtree (sympy nodes hash structurally,
+so the memo of the walk is the common-subexpression elimination), every
+value reduced into [0, p).  The same walk tracks the degree of the numerator
+that `sympy.together` would build, which `maps.RationalMap.degree_bound`
+reads.
 """
 
 from __future__ import annotations
 
+import math
 import random
-
-import sympy as sp
+from collections import Counter
+from functools import cache
 
 
 class SampleDegenerateError(ArithmeticError):
@@ -20,55 +28,145 @@ class SampleDegenerateError(ArithmeticError):
 
 PRIME_BITS = 62
 
+# No composite below 2^64 is a strong pseudoprime to all seven bases (Sinclair).
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# sieve of Eratosthenes: strike the odd multiples of each odd q < 32 = sqrt(1024)
+_ODD_PRIMES_BELOW_1024 = math.prod(set(range(3, 1024, 2)).difference(
+    *(range(3 * q, 1024, 2 * q) for q in range(3, 32, 2))))
+
+
+def is_prime(n):
+    """Deterministic primality of an odd 1024 < n < 2^64.
+
+    One gcd with the odd primes below 1024, then Miller-Rabin to the seven
+    bases above.
+    """
+    if math.gcd(n, _ODD_PRIMES_BELOW_1024) != 1:
+        return False
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in _MR_BASES:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def random_prime(rng: random.Random) -> int:
     """Deterministic random PRIME_BITS-bit prime p = 3 mod 4."""
     while True:
         cand = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 3
-        if sp.isprime(cand):
+        if is_prime(cand):
             return cand
 
 
-def eval_mod(expr, values, p):
-    """Evaluate a sympy expression at integer values mod p.
+class _Compiler:
+    """One walk over an expression: straight-line source and the together-degree.
 
-    Raises SampleDegenerateError when a division by zero occurs.
+    A node's degree is (numerator degree, {denominator base: exponent}): Add
+    takes the lcm of its terms' denominators, as `sympy.together` does, Mul
+    multiplies, and a negative power moves its base's numerator into the
+    denominator.
     """
-    if expr.is_Integer:
-        return int(expr) % p
-    if expr.is_Rational:
-        den = int(expr.q) % p
-        if den == 0:
-            raise SampleDegenerateError("rational coefficient with vanishing denominator")
-        return int(expr.p) * pow(den, -1, p) % p
-    if expr.is_Symbol:
-        try:
-            return values[expr] % p
-        except KeyError:
-            raise KeyError(f"unbound symbol {expr}") from None
-    if expr.is_Add:
-        total = 0
-        for a in expr.args:
-            total += eval_mod(a, values, p)
-        return total % p
-    if expr.is_Mul:
-        total = 1
-        for a in expr.args:
-            total = total * eval_mod(a, values, p) % p
-        return total
-    if expr.is_Pow:
-        base, e = expr.args
-        if not e.is_Integer:
-            raise ValueError(f"non-integer exponent in {expr}")
-        b = eval_mod(base, values, p)
-        e = int(e)
-        if e < 0:
-            if b == 0:
-                raise SampleDegenerateError("division by zero")
-            b = pow(b, -1, p)
-            e = -e
-        return pow(b, e, p)
-    raise ValueError(f"unsupported expression node {expr.func}")
+
+    def __init__(self):
+        self.lines = []
+        self.globals = {"_Degenerate": SampleDegenerateError}
+        self.memo = {}  # node -> (local name, degree)
+
+    def visit(self, node):
+        hit = self.memo.get(node)
+        if hit is None:
+            self.memo[node] = None  # claims the next local name before the children do
+            hit = self.memo[node] = self._emit(node, f"v{len(self.memo)}")
+        return hit
+
+    def _den_degree(self, den):
+        return sum(e * self.memo[base][1][0] for base, e in den.items())
+
+    def _emit(self, node, name):
+        emit = self.lines.append
+        if node.is_Integer:
+            emit(f"{name} = {int(node)} % p")
+            return name, (0, Counter())
+        if node.is_Rational:
+            emit(f"{name} = {int(node.q)} % p")
+            emit(f"if not {name}: raise _Degenerate("
+                 "'rational coefficient with vanishing denominator')")
+            emit(f"{name} = {int(node.p)} * pow({name}, -1, p) % p")
+            return name, (0, Counter())
+        if node.is_Symbol:
+            sym = f"_s{len(self.globals)}"
+            self.globals[sym] = node
+            emit(f"{name} = values[{sym}] % p")
+            return name, (1, Counter())
+        if node.is_Add:
+            args = [self.visit(a) for a in node.args]
+            emit(f"{name} = ({' + '.join(a for a, _ in args)}) % p")
+            den = Counter()
+            for _, (_, d) in args:
+                den |= d  # the lcm: each base at its largest exponent
+            lcm = self._den_degree(den)
+            return name, (max(n + lcm - self._den_degree(d) for _, (n, d) in args), den)
+        if node.is_Mul:
+            (first, _), *rest = args = [self.visit(a) for a in node.args]
+            emit(f"{name} = {first}" + "".join(f" * {a} % p" for a, _ in rest))
+            den = Counter()
+            for _, (_, d) in args:
+                den.update(d)
+            return name, (sum(n for _, (n, _) in args), den)
+        if node.is_Pow:
+            base, e = node.args
+            if not e.is_Integer:
+                raise ValueError(f"non-integer exponent in {node}")
+            e = int(e)
+            b, (num, den) = self.visit(base)
+            if e > 0:
+                emit(f"{name} = pow({b}, {e}, p)")
+                return name, (e * num, Counter({k: e * v for k, v in den.items()}))
+            emit(f"if not {b}: raise _Degenerate('division by zero')")
+            emit(f"{name} = pow({b}, {e}, p)")
+            return name, (-e * self._den_degree(den), Counter({base: -e}))
+        raise ValueError(f"unsupported expression node {node.func}")
+
+
+@cache
+def _compiled(expr):
+    """(function(values, p), numerator degree) for one expression, built on first use."""
+    c = _Compiler()
+    result, (degree, _) = c.visit(expr)
+    body = "".join(f"    {line}\n" for line in c.lines)
+    exec(compile(f"def evaluate(values, p):\n{body}    return {result}\n", "<eval_mod>", "exec"),
+         c.globals)
+    return c.globals["evaluate"], degree
+
+
+def eval_mod(expr, values, p):
+    """Evaluate a sympy expression at integer values mod p, by its compiled function.
+
+    Raises SampleDegenerateError when a division by zero occurs, KeyError
+    naming a symbol that `values` does not bind, and ValueError for a
+    non-integer exponent or a node other than a number, symbol, sum, product
+    or power.
+    """
+    try:
+        return _compiled(expr)[0](values, p)
+    except KeyError as e:
+        raise KeyError(f"unbound symbol {e.args[0]}") from None
+
+
+def together_degree(expr):
+    """Total degree of the numerator `sympy.together(expr)` builds, before cancellation."""
+    return _compiled(expr)[1]
 
 
 def sqrt_mod(a, p):

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 
@@ -152,6 +153,15 @@ def test_csv_output_matches_field_order():
         for row, rec in zip(rows, records):
             assert len(row) == len(RECORD_FIELDS)
             assert row == ["" if v is None else str(v) for v in rec.values()]
+
+
+def test_verify_maps_stdout_is_pinned():
+    # each record's residual is D / 2^61, so a change to any entry's degree
+    # bound D, as well as to the prime stream or a verdict, shows here
+    code, out = run(["verify", "maps", "--trials", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cdc16c1852044c9aaf0d8fd6ef37619fd27595aba479298e991709f4b558230b")
 
 
 def test_verify_maps_single_entry():

@@ -117,6 +117,93 @@ def test_sqrt_mod_every_element(p):
             assert root is None
 
 
+def _exact_mod(expr, values, p):
+    import sympy as sp
+
+    r = sp.Rational(expr.xreplace({sym: sp.Integer(v) for sym, v in values.items()}))
+    return int(r.p) * pow(int(r.q), -1, p) % p
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_compiled_eval_matches_exact_evaluation(name):
+    import random
+
+    from hgmk3.geomver.modeval import eval_mod, random_prime
+
+    entry = CATALOG[name]
+    exprs = [*(e for _, e in entry.derived), *(eq for eq, _ in entry.solve_steps),
+             *(e for _, e in entry.outputs), *entry.target_eqs]
+    rng = random.Random(f"compiled:{name}")
+    for _ in range(3):
+        p = random_prime(rng)
+        for expr in exprs:
+            values = {sym: rng.randrange(1, p) for sym in expr.free_symbols}
+            assert eval_mod(expr, values, p) == _exact_mod(expr, values, p), (name, expr)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_degree_bound_is_the_together_numerator_degree(name):
+    import sympy as sp
+
+    nums = (sp.fraction(sp.together(eq))[0] for eq in CATALOG[name].target_eqs)
+    oracle = max(int(sp.total_degree(sp.expand(num))) for num in nums)
+    assert CATALOG[name].degree_bound == oracle
+
+
+def test_eval_mod_errors():
+    import sympy as sp
+
+    from hgmk3.geomver.modeval import SampleDegenerateError, eval_mod
+
+    x, y = sp.symbols("x y")
+    assert eval_mod(x**2 / (x - y) + sp.Rational(1, 3), {x: 5, y: 3}, 103) == 30  # 77/6
+    with pytest.raises(SampleDegenerateError):
+        eval_mod(1 / x, {x: 0}, 103)
+    with pytest.raises(SampleDegenerateError):
+        eval_mod(x / (x - y), {x: 5, y: 108}, 103)
+    with pytest.raises(SampleDegenerateError):
+        eval_mod(sp.Rational(1, 206) * x, {x: 1}, 103)
+    with pytest.raises(KeyError, match="unbound symbol y"):
+        eval_mod(x + y, {x: 1}, 103)
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        eval_mod(sp.sqrt(x), {x: 4}, 103)
+    with pytest.raises(ValueError, match="unsupported expression node"):
+        eval_mod(sp.sin(x), {x: 4}, 103)
+
+
+def test_is_prime_agrees_with_sympy():
+    import random
+
+    import sympy as sp
+
+    from hgmk3.geomver.modeval import PRIME_BITS, is_prime
+
+    rng = random.Random(62)
+    odd = [rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1 for _ in range(20000)]
+    primes = [n for n in odd if sp.isprime(n)]
+    assert [n for n in odd if is_prime(n)] == primes and len(primes) > 500
+
+
+def test_is_prime_rejects_a_strong_pseudoprime():
+    from hgmk3.geomver.modeval import is_prime
+
+    # 149491 * 747451 * 34233211 = 3 mod 4: a strong pseudoprime to every base
+    # 2..23, with no factor below 1024
+    assert not is_prime(3825123056546413051)
+
+
+def test_random_prime_stream_is_pinned():
+    import hashlib
+    import random
+
+    from hgmk3.geomver.modeval import random_prime
+
+    rng = random.Random(20259)
+    primes = ",".join(str(random_prime(rng)) for _ in range(200))
+    assert hashlib.sha256(primes.encode()).hexdigest() == (
+        "8e4cb696b84cfbaa740e0215508d28ac3dc72cd510dba80dde1aef471fb63c88")
+
+
 def test_determinism_same_seed():
     a = verify_map("psi5", trials=4, seed=7)
     b = verify_map("psi5", trials=4, seed=7)
