@@ -25,9 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
-from sympy import factorint
-
-from .ffield import field_new
+from .ffield import Q_MAX, factor, field_new, prime_power
 from .k3count import CheckReport
 
 SCHEMA_VERSION = "hgmk3/1"
@@ -58,25 +56,20 @@ def report_schema():
 
 
 def odd_prime_powers(lo, hi):
-    return tuple(q for q in range(max(3, lo), hi + 1) if q % 2 and len(factorint(q)) == 1)
-
-
-def _prime_power(q):
-    """(p, n) with q = p^n for an odd prime p; a UsageError for any other q."""
-    fac = factorint(q) if q >= 3 else {}
-    if q % 2 == 0 or len(fac) != 1:
-        raise UsageError(f"q = {q} is not an odd prime power")
-    return next(iter(fac.items()))
+    """The odd prime powers in [lo, hi]; a hi above the field bound is a UsageError."""
+    if hi > Q_MAX:
+        raise UsageError(f"pmax = {hi} exceeds the table-resident bound 2^24")
+    return tuple(q for q in range(max(3, lo), hi + 1) if q % 2 and len(factor(q)) == 1)
 
 
 def parse_q_list(text):
-    """A comma-separated list of odd prime powers, without repeats."""
+    """A comma-separated list of odd prime powers up to the field bound, without repeats."""
     try:
         q_list = tuple(dict.fromkeys(int(part) for part in text.split(",")))
     except ValueError:
         raise UsageError(f"bad q list {text!r}") from None
     for q in q_list:
-        _prime_power(q)
+        prime_power(q)
     return q_list
 
 
@@ -97,7 +90,7 @@ def parse_rational(text):
 
 def _field_for(q):
     """The field of order q, after checking that q is an odd prime power."""
-    return field_new(*_prime_power(q))
+    return field_new(*prime_power(q))
 
 
 def _run_grid(q_list, cells, fmt, out):

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
-from sympy import Poly, Symbol, factorint, isprime
+from sympy import Poly, Symbol
 
-from .ffield import DomainError
+from .ffield import Q_MAX, DomainError, FieldConstructionError, factor, is_prime
 from .geomver import j_invariants_pair, j_pair_coefficients
 from .k3count import CheckReport
 
@@ -61,12 +61,16 @@ def chi_discriminant(t):
 
 
 def squarefree_part(r):
-    """Exact squarefree part of a nonzero rational (num*den modulo squares)."""
+    """Exact squarefree part of a nonzero rational (num*den modulo squares).
+
+    num*den is factored by trial division, which is quick for the fixture's
+    values of t(t-1): every one is 37-smooth.
+    """
     r = Fraction(r)
     if r == 0:
         raise ValueError("squarefree part of 0")
     out = -1 if r < 0 else 1
-    for base, exp in factorint(abs(r.numerator * r.denominator)).items():
+    for base, exp in factor(abs(r.numerator * r.denominator)).items():
         if exp % 2:
             out *= base
     return out
@@ -152,19 +156,22 @@ def cm_trace_survey(t, p_max):
 
     T comes from the affine count via T = |V_t| + 3p - 3 - p^2, which also
     serves the cells with t = 1 mod p where the fibered counter is excluded.
-    Data product only: no assertion on the d(n) split is made.
+    Data product only: no assertion on the d(n) split is made.  A p_max above
+    the 2^24 field bound is refused before any p is tried.
     """
     from .ecount import e1_e2, trace
     from .ffield import field_new, quadratic_character, sqrt
     from .k3count import count_affine
 
+    if p_max > Q_MAX:
+        raise FieldConstructionError(f"pmax = {p_max} exceeds the table-resident bound 2^24")
     t = Fraction(t)
     if classify_t(t) == "generic":
         raise DomainError(f"t = {t} is not a rank-20 parameter")
     D = chi_discriminant(t)
     rows = []
     for p in range(3, p_max + 1):
-        if not isprime(p):
+        if not is_prime(p):
             continue
         if t.numerator % p == 0 or t.denominator % p == 0:
             continue

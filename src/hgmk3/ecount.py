@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from sympy import factorint
 
-from .ffield import DomainError, FieldSpec, FqElem, quadratic_character
+from .ffield import DomainError, FieldSpec, FqElem, factor, quadratic_character
 from .hyperg import hg_H2
 
 
@@ -185,8 +184,9 @@ def _killing_multiple(P, a2, a4, p, lo, hi):
 
 
 def _point_order(P, M, a2, a4, p):
-    """The exact order of P, given a multiple M of it."""
-    for ell in factorint(M):
+    """The exact order of P, given a multiple M of it (M <= p + 1 + 2 sqrt(p) < 2^25,
+    so trial division factors it)."""
+    for ell in factor(M):
         while M % ell == 0 and _ec_mul(M // ell, P, a2, a4, p) is None:
             M //= ell
     return M

@@ -13,17 +13,20 @@ coordinates.  Prime-field codes are combined as integers mod p; extension-field
 codes through the exp/dlog/zech tables, so no loop runs over the n digits.
 
 The quadratic character is `quadratic_character`; the absolute trace is the
-table `FieldSpec.trace`.  `FieldSpec.next_generator` is public API that only
+table `FieldSpec.trace`.  The package's integer work goes through three helpers
+here: `is_prime`, `factor` (trial division, for the bounded or smooth integers
+the package meets) and `prime_power`, which checks the 2^24 bound before it
+factors anything.  `FieldSpec.next_generator` is public API that only
 the tests call: it rebuilds the field on another generator, to show that
 results do not depend on the choice.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from sympy import factorint, isprime
 
 Q_MAX = 2**24  # table-resident bound
 
@@ -38,6 +41,80 @@ class DomainError(ValueError):
 
 class ReductionError(ZeroDivisionError):
     """Raised when a rational cannot be reduced into F_q (p divides a denominator)."""
+
+
+# ---------------------------------------------------------------------------
+# integer helpers
+# ---------------------------------------------------------------------------
+
+# No composite below 2^64 is a strong pseudoprime to all seven bases (Sinclair).
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# sieve of Eratosthenes: strike the odd multiples of each odd q < 32 = sqrt(1024)
+_ODD_PRIMES_BELOW_1024 = frozenset(range(3, 1024, 2)).difference(
+    *(range(3 * q, 1024, 2 * q) for q in range(3, 32, 2)))
+_ODD_PRIMORIAL_1024 = math.prod(_ODD_PRIMES_BELOW_1024)
+
+
+def is_prime(n):
+    """Deterministic primality of an integer n < 2^64.
+
+    Below 1024 a table lookup; above, one gcd with the odd primes below 1024,
+    then Miller-Rabin to the seven bases above.
+    """
+    if n < 1024:
+        return n == 2 or n in _ODD_PRIMES_BELOW_1024
+    if n % 2 == 0 or math.gcd(n, _ODD_PRIMORIAL_1024) != 1:
+        return False
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in _MR_BASES:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factor(n):
+    """{prime: exponent} of an integer n >= 1, primes increasing, by trial division.
+
+    It costs about the square root of n's second-largest prime factor, so it is
+    meant for the package's bounded or smooth inputs: q - 1 <= 2^24, group
+    orders below 2^25, fixture integers.
+    """
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def prime_power(q):
+    """(p, n) with q = p^n for an odd prime p and q <= Q_MAX.
+
+    Any other q is a FieldConstructionError; the bound is checked first, so no
+    integer above it is factored.
+    """
+    if q > Q_MAX:
+        raise FieldConstructionError(f"q = {q} exceeds the table-resident bound 2^24")
+    fac = factor(q) if q >= 3 else {}
+    if q % 2 == 0 or len(fac) != 1:
+        raise FieldConstructionError(f"q = {q} is not an odd prime power")
+    ((p, n),) = fac.items()
+    return p, n
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +227,24 @@ class FieldSpec:
     """
 
     def __init__(self, p, n=1, generator=None):
-        if not isinstance(p, int) or not isprime(p):
+        if not isinstance(p, int) or p < 2:
             raise FieldConstructionError(f"p = {p} is not prime")
         if p == 2:
             raise FieldConstructionError("p = 2 is excluded (all sums require odd q)")
+        # the bound before primality, so no integer above it is tested; a power
+        # of more than 1024 bits is past the bound and is named, not built
+        q = p**n if n * p.bit_length() <= 1024 else f"{p}^{n}"
+        if n >= 1 and (isinstance(q, str) or q > Q_MAX):
+            raise FieldConstructionError(f"q = {q} exceeds the table-resident bound 2^24")
+        if not is_prime(p):
+            raise FieldConstructionError(f"p = {p} is not prime")
         if n < 1:
             raise FieldConstructionError(f"extension degree n = {n} must be >= 1")
-        q = p**n
-        if q > Q_MAX:
-            raise FieldConstructionError(f"q = {q} exceeds the table-resident bound 2^24")
         self.p = p
         self.n = n
         self.q = q
         self.modulus = _least_irreducible(p, n)
-        self._q1_factors = tuple(factorint(q - 1))
+        self._q1_factors = tuple(factor(q - 1))
         if generator is None:
             self.generator = self._find_generator()
         else:

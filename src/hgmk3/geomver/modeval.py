@@ -16,10 +16,11 @@ reads.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from functools import cache
+
+from ..ffield import is_prime
 
 
 class SampleDegenerateError(ArithmeticError):
@@ -27,38 +28,6 @@ class SampleDegenerateError(ArithmeticError):
 
 
 PRIME_BITS = 62
-
-# No composite below 2^64 is a strong pseudoprime to all seven bases (Sinclair).
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-# sieve of Eratosthenes: strike the odd multiples of each odd q < 32 = sqrt(1024)
-_ODD_PRIMES_BELOW_1024 = math.prod(set(range(3, 1024, 2)).difference(
-    *(range(3 * q, 1024, 2 * q) for q in range(3, 32, 2))))
-
-
-def is_prime(n):
-    """Deterministic primality of an odd 1024 < n < 2^64.
-
-    One gcd with the odd primes below 1024, then Miller-Rabin to the seven
-    bases above.
-    """
-    if math.gcd(n, _ODD_PRIMES_BELOW_1024) != 1:
-        return False
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def random_prime(rng: random.Random) -> int:

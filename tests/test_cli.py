@@ -21,6 +21,10 @@ from hgmk3.cli import (
 from hgmk3.hyperg import IntegrityError
 
 
+# a 51-digit semiprime: factoring it would not finish
+SEMIPRIME = "300000000000000000000001060000000000000000000000871"
+
+
 def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
@@ -341,6 +345,11 @@ def test_bad_q_is_a_usage_error(argv):
     ["cm", "survey", "--t", "x"],
     ["hgsum", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "1/2"],  # not an element
     ["curve", "count", "--p", "7", "--a2", "x", "--a4", "1", "--a6", "1"],
+    # the 2^24 bound comes before any enumeration or factoring
+    ["verify", "bcm", "--pmax", "1000000000000", "--t", "2"],
+    ["cm", "survey", "--t", "1", "--pmax", "1000000000000"],
+    ["verify", "bcm", "--q", SEMIPRIME, "--t", "2"],
+    ["field-info", "--p", SEMIPRIME],
 ])
 def test_domain_error_is_a_usage_error(argv, capsys):
     code, out = run(argv)

@@ -1,14 +1,19 @@
-"""Field layer: deterministic construction, dlog, squares, trace, Frobenius."""
+"""Field layer: integer helpers, deterministic construction, dlog, squares,
+trace, Frobenius."""
 
+import ast
+import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import divisors, mobius
+from sympy import divisors, factorint, isprime, mobius
 
+import hgmk3
 from hgmk3.ffield import (
     DomainError,
     FieldConstructionError,
@@ -17,7 +22,10 @@ from hgmk3.ffield import (
     _poly_mul_mod,
     _poly_trim,
     dlog,
+    factor,
     field_new,
+    is_prime,
+    prime_power,
     quadratic_character,
     sqrt,
 )
@@ -61,6 +69,62 @@ def test_construction_errors_name_the_bound():
         field_new(2, 3)
     with pytest.raises(FieldConstructionError, match="2\\^24"):
         field_new(3, 17)
+    # the bound comes first: a 51-digit semiprime is not tested for primality,
+    # and a degree far past the bound does not build p^n
+    with pytest.raises(FieldConstructionError, match="2\\^24"):
+        field_new(300000000000000000000001060000000000000000000000871)
+    with pytest.raises(FieldConstructionError, match="q = 3\\^1000000000 exceeds"):
+        field_new(3, 10**9)
+
+
+def test_is_prime_agrees_with_sympy_below_1e5():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if isprime(n)
+    ]
+
+
+def test_factor_agrees_with_sympy():
+    from hgmk3.cmdata import quadratic_cm_rows
+
+    rng = random.Random(25)
+    sample = list(range(1, 2**16 + 1)) + [rng.randrange(1, 2**25) for _ in range(2000)]
+    # num*den of t(t-1) at the quadratic-CM rows, which `squarefree_part` factors
+    products = [t * (t - 1) for t in quadratic_cm_rows()]
+    sample += [abs(r.numerator * r.denominator) for r in products]
+    assert len(products) == 10
+    for n in sample:
+        assert factor(n) == factorint(n), n
+
+
+def test_prime_power():
+    assert [prime_power(q) for q in (3, 9, 2187, 16777213)] == [
+        (3, 1), (3, 2), (3, 7), (16777213, 1),
+    ]
+    for q in (1, 15, 2**20):
+        with pytest.raises(FieldConstructionError, match="not an odd prime power"):
+            prime_power(q)
+    with pytest.raises(FieldConstructionError, match="2\\^24"):
+        prime_power(2**24 + 43)
+
+
+def _module_level_imports(path):
+    """Absolute module names imported by a module when it loads (not in functions)."""
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("name", ["ffield", "charsum", "hyperg", "ecount", "k3count", "nslat", "cli"])
+def test_numeric_layers_import_no_sympy(name):
+    path = Path(hgmk3.__file__).with_name(f"{name}.py")
+    assert not [m for m in _module_level_imports(path) if m.split(".")[0] == "sympy"]
 
 
 def test_dlog_examples():

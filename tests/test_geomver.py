@@ -176,7 +176,8 @@ def test_is_prime_agrees_with_sympy():
 
     import sympy as sp
 
-    from hgmk3.geomver.modeval import PRIME_BITS, is_prime
+    from hgmk3.ffield import is_prime
+    from hgmk3.geomver.modeval import PRIME_BITS
 
     rng = random.Random(62)
     odd = [rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1 for _ in range(20000)]
@@ -185,7 +186,7 @@ def test_is_prime_agrees_with_sympy():
 
 
 def test_is_prime_rejects_a_strong_pseudoprime():
-    from hgmk3.geomver.modeval import is_prime
+    from hgmk3.ffield import is_prime
 
     # 149491 * 747451 * 34233211 = 3 mod 4: a strong pseudoprime to every base
     # 2..23, with no factor below 1024
