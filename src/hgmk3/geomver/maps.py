@@ -1,9 +1,10 @@
 """The catalog of explicit coordinate changes between the surface models.
 
-Every entry records: free variables to sample, derived assignments, constraint
-equations each solvable for a designated variable (of degree <= 2, and in no
-denominator), the map components, and the target equations that must vanish
-on the image.  Entries whose printed source needed a correction carry the
+Every entry records: free variables to sample, constraint equations each
+solvable for a designated variable (of degree <= 2, and in no denominator),
+the map components, and the target equations that must vanish on the image.
+A coordinate fixed by the others, such as t = rho^2, is a linear constraint
+(t - rho^2, t).  Entries whose printed source needed a correction carry the
 story in `note`.
 """
 
@@ -24,12 +25,15 @@ x, y, z, s, t, u, v, S, X, Y, Yp, u1, x1, x2, rho = sp.symbols(
 
 @dataclass(frozen=True)
 class RationalMap:
-    """One verifiable coordinate change."""
+    """One verifiable coordinate change.
+
+    `outputs` lists only the coordinates the map changes: the image starts as
+    a copy of the sampled point, so a coordinate the map keeps needs no entry.
+    """
 
     name: str
     free: tuple
-    derived: tuple  # ((symbol, expr), ...)
-    solve_steps: tuple  # ((equation, symbol), ...)
+    solve_steps: tuple  # ((equation, symbol), ...), solved in order
     outputs: tuple  # ((symbol, expr), ...)
     target_eqs: tuple
     note: str = ""
@@ -176,7 +180,6 @@ def _entries():
     maps.append(RationalMap(
         "surface_to_slice",
         free=(x, y, t),
-        derived=(),
         solve_steps=((v_t, z),),
         outputs=((s, x + y),),
         target_eqs=(x * (s - x) * z * (1 - (s + z)) - 1 / (256 * t),),
@@ -185,7 +188,6 @@ def _entries():
     maps.append(RationalMap(
         "surface_to_three_star",
         free=(x, y, t),
-        derived=(),
         solve_steps=((v_t, z),),
         outputs=((s, (x + y) / (x - y)),),
         target_eqs=(THREE_STAR,),
@@ -194,7 +196,6 @@ def _entries():
     maps.append(RationalMap(
         "surface_to_weier",
         free=(x, s, t),
-        derived=(),
         solve_steps=((x * (s - x) * z * (1 - (s + z)) - t / 256, z),),
         outputs=((X, t - s * t / x), (Y, 8 * s * t * (s - x) * (s + 2 * z - 1) / x)),
         target_eqs=(weier1_eq(X, Y, s),),
@@ -203,7 +204,6 @@ def _entries():
     maps.append(RationalMap(
         "three_star_to_family19",
         free=(x, s, t),
-        derived=(),
         solve_steps=((THREE_STAR, z),),
         outputs=(
             (X, 2 * (s - 1) ** 2 * s * x * (2 * s * x + s * z - s + z - 1)),
@@ -215,7 +215,6 @@ def _entries():
     maps.append(RationalMap(
         "family19_to_family19alt",
         free=(X, s, t),
-        derived=(),
         solve_steps=((family19_eq(X, Y, sigma), Y),),
         outputs=((x1, X * (s + 1) ** 4), (x2, Y * (s + 1) ** 6)),
         target_eqs=(family19alt_eq(x1, x2, s),),
@@ -223,7 +222,6 @@ def _entries():
     maps.append(RationalMap(
         "family19_to_inose_quartic",
         free=(s, u, t),
-        derived=(),
         solve_steps=((family19_eq(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / 8, s), Yp),),
         outputs=(),
         target_eqs=(INOSE_QUARTIC - Yp**2,),
@@ -231,7 +229,6 @@ def _entries():
     maps.append(RationalMap(
         "quartic_to_inose",
         free=(s, u, t),
-        derived=(),
         solve_steps=((INOSE_QUARTIC - Yp**2, Yp),),
         outputs=(
             (X, t * (s * (192 * (s + 1) * t * u**2 - 32 * s * t * u + 3 * s - 3)
@@ -246,8 +243,8 @@ def _entries():
     maps.append(RationalMap(
         "family19_to_si_quartic",
         free=(s, u, rho),
-        derived=((t, rho**2),),
-        solve_steps=((family19_eq(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / (8 * rho), s), Yp),),
+        solve_steps=((t - rho**2, t),
+                     (family19_eq(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / (8 * rho), s), Yp)),
         outputs=(),
         target_eqs=(SI_QUARTIC - Yp**2,),
         note="rho stands for sqrt(t)",
@@ -255,8 +252,7 @@ def _entries():
     maps.append(RationalMap(
         "si_quartic_to_si_form",
         free=(s, u, rho),
-        derived=((t, rho**2),),
-        solve_steps=((SI_QUARTIC - Yp**2, Yp),),
+        solve_steps=((t - rho**2, t), (SI_QUARTIC - Yp**2, Yp)),
         outputs=(
             (X, u * (s * (192 * (s + 1) * t * u**2 - 32 * s * t * u + 3 * s - 3)
                      + 96 * t * u - 24 * rho * Yp) / (3 * s**2)),
@@ -272,8 +268,8 @@ def _entries():
     maps.append(RationalMap(
         "si_normal_to_si_form",
         free=(u, x, rho),
-        derived=((t, rho**4),),
-        solve_steps=((y**2 - (x**3 - 3 * A_si * u**4 * x + u**5 * (u**2 - 2 * B_si * u + 1)), y),),
+        solve_steps=((t - rho**4, t),
+                     (y**2 - (x**3 - 3 * A_si * u**4 * x + u**5 * (u**2 - 2 * B_si * u + 1)), y)),
         outputs=((X, x * r_si**2), (Y, y * r_si**3), (u1, u / (8 * rho**2))),
         target_eqs=(si_form_eq(X, Y, u1),),
         note="rho stands for t^(1/4)",
@@ -282,63 +278,55 @@ def _entries():
     maps.append(RationalMap(
         "psi8",
         free=(u, v, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X8_EQ, y)),
-        outputs=((x1, -R(1, 2) * (u - S * v)), (x2, u + S * v), (y, y)),
+        outputs=((x1, -R(1, 2) * (u - S * v)), (x2, u + S * v)),
         target_eqs=(X7_EQ,),
     ))
     maps.append(RationalMap(
         "psi7",
         free=(x1, x2, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X7_EQ, y)),
-        outputs=((X, x1 * g_cubic(x2)), (Y, y * g_cubic(x2)), (x2, x2)),
+        outputs=((X, x1 * g_cubic(x2)), (Y, y * g_cubic(x2))),
         target_eqs=(X6_EQ,),
     ))
     maps.append(RationalMap(
         "psi6",
         free=(X, x2, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X6_EQ, Y)),
-        outputs=((x1, X / g_cubic(x2)), (x2, x2), (u, Y / g_cubic(x2) ** 2)),
+        outputs=((x1, X / g_cubic(x2)), (u, Y / g_cubic(x2) ** 2)),
         target_eqs=(X5_EQ,),
     ))
     maps.append(RationalMap(
         "psi5",
         free=(x1, x2, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X5_EQ, u)),
-        outputs=((X, PSI5_A), (Y, PSI5_B), (u, u)),
+        outputs=((X, PSI5_A), (Y, PSI5_B)),
         target_eqs=(X4_EQ,),
     ))
     maps.append(RationalMap(
         "psi4",
         free=(X, u, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X4_EQ, Y)),
-        outputs=((x, -X), (y, Y), (u, u)),
+        outputs=((x, -X), (y, Y)),
         target_eqs=(X3_EQ,),
     ))
     maps.append(RationalMap(
         "psi3",
         free=(x, u, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X3_EQ, y)),
-        outputs=((x, t**2 * x / u**2), (y, t**3 * y / u**3), (u, u)),
+        outputs=((x, t**2 * x / u**2), (y, t**3 * y / u**3)),
         target_eqs=(X2_EQ,),
     ))
     maps.append(RationalMap(
         "psi2",
         free=(x, u, t),
-        derived=(),
         solve_steps=(S_CONSTRAINT, (X2_EQ, y)),
-        outputs=((x, x), (y, y), (u1, u**2 * (1 + S))),
+        outputs=((u1, u**2 * (1 + S)),),
         target_eqs=(inose_eq(x, y, u1),),
     ))
     maps.append(RationalMap(
         "qt_section",
         free=(u, t),
-        derived=(),
         solve_steps=(),
         outputs=((X, QT_X), (Y, QT_Y)),
         target_eqs=(inose_eq(X, Y, u),),
@@ -346,17 +334,15 @@ def _entries():
     maps.append(RationalMap(
         "qt_section_t1",
         free=(u,),
-        derived=((t, sp.Integer(1)),),
-        solve_steps=(),
+        solve_steps=((t - 1, t),),
         outputs=((X, QT_X), (Y, QT_Y)),
         target_eqs=(inose_eq(X, Y, u),),
     ))
     maps.append(RationalMap(
         "identity_sanity",
         free=(x, s, t),
-        derived=(),
         solve_steps=((x * (s - x) * z * (1 - (s + z)) - 1 / (256 * t), z),),
-        outputs=((x, x), (z, z), (s, s)),
+        outputs=(),
         target_eqs=(x * (s - x) * z * (1 - (s + z)) - 1 / (256 * t),),
     ))
     return {m.name: m for m in maps}

@@ -150,9 +150,9 @@ def solve_step(eq, var, values, p, rng):
 
     eq at var = 0, 1, -1 gives c, a+b+c and a-b+c of a var^2 + b var + c, up to
     a denominator that var does not enter, so the roots are those of the
-    cleared equation.  Returns one root, chosen by the rng when two exist.
-    Raises SampleDegenerateError when a denominator vanishes or no root exists
-    mod p.
+    cleared equation.  Returns one root, chosen by the rng when two exist; a
+    linear constraint draws nothing from the rng.  Raises
+    SampleDegenerateError when a denominator vanishes or no root exists mod p.
     """
     c, plus, minus = (eval_mod(eq, values | {var: v}, p) for v in (0, 1, -1))
     half = (p + 1) // 2  # 1/2 mod p

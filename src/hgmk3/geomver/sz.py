@@ -2,16 +2,17 @@
 and modular-curve identities.
 
 Every Schwartz-Zippel run goes through `_sample`.  Each trial draws one
-62-bit prime p = 3 mod 4 and the source's free values, computes its derived
-values, solves each constraint from its own equation with modular square
-roots, pushes the point through one map (a catalog entry) or through several
-in turn (the psi chain), and requires every target equation to vanish.  The
-psi chain samples only the composition psi2 o ... o psi8: each link is a
-catalog entry with a run of its own.  A degenerate point is redrawn under the
-trial's prime, so a run of n trials draws exactly n primes; fewer than 1 trial
-is a DomainError.  MAX_DRAWS degenerate points in a row raise
-SampleDegenerateError; a catalog point degenerates with probability below
-4/5, so a sound entry does that with probability below 10^-19 per trial.
+62-bit prime p = 3 mod 4 and the source's free values, solves each
+constraint from its own equation (a linear one by division, a quadratic one
+with a modular square root), pushes the point through one map (a catalog
+entry) or through several in turn (the psi chain), and requires every target
+equation to vanish.  The psi chain samples only the composition
+psi2 o ... o psi8: each link is a catalog entry with a run of its own.  A
+degenerate point is redrawn under the trial's prime, so a run of n trials
+draws exactly n primes; fewer than 1 trial is a DomainError.  MAX_DRAWS
+degenerate points in a row raise SampleDegenerateError; a catalog point
+degenerates with probability below 4/5, so a sound entry does that with
+probability below 10^-19 per trial.
 
 The reported `miss_probability_bound` is (D / 2^61)^trials, with D the
 entry's `degree_bound` (the largest over the links for the psi chain).  D is
@@ -80,8 +81,6 @@ def _sample(name, source: RationalMap, push, targets, degree, trials, rng):
             attempts += 1
             values = {sym: rng.randrange(1, p) for sym in source.free}
             try:
-                for sym, expr in source.derived:
-                    values[sym] = eval_mod(expr, values, p)
                 for eq, var in source.solve_steps:
                     values[var] = solve_step(eq, var, values, p, rng)
                 image = push(values, p)

@@ -20,8 +20,9 @@ zero past m = q-2.  With omega(z)^(a B + b) = u[a] v[b] the sum over m is u^T W 
 per t one complex matrix-vector product and A + B root-of-unity lookups.
 
 Values are certified by rounding: q^{s(0)-1} H_q must lie within an absolute
-threshold of an integer, or hg_sum raises charsum.PrecisionError.  There is no
-retry: the 53-bit Gauss table is the only one.
+threshold of an integer, or hg_sum raises charsum.PrecisionError.  The same
+rule (`round_certified`) certifies the Gauss expression of k3count's bcm and
+trace checks.  There is no retry: the 53-bit Gauss table is the only one.
 """
 
 from __future__ import annotations
@@ -221,6 +222,18 @@ def _reduce_argument(datum, field, t):
     return scale * telt
 
 
+def round_certified(value, q):
+    """(nearest integer, residual) of a value that must be an integer; PrecisionError
+    above ROUNDING_THRESHOLD.  The one rounding rule of every Gauss-sum check."""
+    nearest = round(value.real)
+    residual = abs(value - nearest)
+    if residual > ROUNDING_THRESHOLD:
+        raise PrecisionError(
+            f"rounding residual {residual:.3g} above {ROUNDING_THRESHOLD} at q = {q}"
+        )
+    return nearest, residual
+
+
 def hg_sum(datum, field, t, cs=None):
     """Evaluate H_q(alpha, beta | t); certify q^(s0-1) * H as an integer."""
     if math.gcd(field.q, datum.denominator_lcm) != 1:
@@ -240,13 +253,7 @@ def hg_sum(datum, field, t, cs=None):
         (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
     )
     denom = q ** (datum.s0() - 1)
-    scaled = value * denom
-    nearest = round(scaled.real)
-    residual = abs(scaled - nearest)
-    if residual > ROUNDING_THRESHOLD:
-        raise PrecisionError(
-            f"rounding residual {residual:.3g} above {ROUNDING_THRESHOLD} at q = {q}"
-        )
+    nearest, residual = round_certified(value * denom, q)
     return HGValue(value, Fraction(nearest, denom), residual)
 
 

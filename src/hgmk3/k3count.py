@@ -24,9 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsum import get_character_system
 from .ffield import FqElem, ReductionError, dlog, quadratic_character, sqrt
-from .hyperg import hg_H2, hg_H3
+from .hyperg import IntegrityError, hg_H2, hg_H3, round_certified
 
-RESIDUAL_LIMIT = 1e-3
 # Cells per block of rows in a counting grid: int64 temporaries stay near 8 MB.
 BLOCK_CELLS = 1 << 20
 # Largest q at which surface_count_report also runs the O(q^3) naive count
@@ -205,16 +204,17 @@ def count_elliptic_surface(field, t):
 
 
 def trace_transcendental(field, t):
-    """T = |E_t(F_q)| - 1 - q^2 - 19q; |T| <= 3q (Weil bound)."""
+    """T = |E_t(F_q)| - 1 - q^2 - 19q; |T| <= 3q (Weil bound), or IntegrityError."""
     total, _ = count_elliptic_surface(field, t)
     T = total - 1 - field.q**2 - 19 * field.q
     if abs(T) > 3 * field.q:
-        raise ArithmeticError(f"|T| = {abs(T)} violates the 3q bound at (q,t)=({field.q},{t})")
+        raise IntegrityError(f"|T| = {abs(T)} violates the 3q bound at (q,t)=({field.q},{t})")
     return T
 
 
 def _gauss_expression(field, t, cs=None):
-    """-1/q + 1/(q(q-1)) sum_m g(4m) g(-m)^4 omega(1/(256t))^m, rounded to int."""
+    """-1/q + 1/(q(q-1)) sum_m g(4m) g(-m)^4 omega(1/(256t))^m as (nearest, residual),
+    certified by hyperg.round_certified."""
     if cs is None:
         cs = get_character_system(field)
     z = _reduce_inverse_argument(field, t)
@@ -223,13 +223,11 @@ def _gauss_expression(field, t, cs=None):
     ms = np.arange(N, dtype=np.int64)
     w = cs.gauss[(4 * ms) % N] * cs.gauss[(-ms) % N] ** 4
     total = complex(np.dot(w, cs.omega_vector(z, ms)))
-    value = -1 / q + total / (q * (q - 1))
-    nearest = round(value.real)
-    return nearest, abs(value - nearest)
+    return round_certified(-1 / q + total / (q * (q - 1)), q)
 
 
 def verify_bcm_identity(field, t, cs=None):
-    """count_affine == (q-1)^3/q + Gauss expression, exactly after rounding."""
+    """count_affine == (q-1)^3/q + Gauss expression, exactly after certified rounding."""
     t = Fraction(t)
     q = field.q
     try:
@@ -240,7 +238,7 @@ def verify_bcm_identity(field, t, cs=None):
     # ((q-1)^3 + 1)/q = q^2 - 3q + 3 exactly, absorbing the -1/q of the sum side
     rhs = (q * q - 3 * q + 3) + nearest
     return CheckReport(
-        "bcm", q, t, passed=lhs == rhs and residual < RESIDUAL_LIMIT,
+        "bcm", q, t, passed=lhs == rhs,
         lhs=lhs, rhs=rhs, residual=residual,
     )
 
@@ -262,7 +260,7 @@ def verify_point_count_lemma(field, t):
 
 
 def verify_trace_corollary(field, t, cs=None):
-    """T == Gauss expression == H3(1/t), all exactly after rounding."""
+    """T == Gauss expression == H3(1/t), all exactly after certified rounding."""
     t = Fraction(t)
     q = field.q
     try:
@@ -273,7 +271,7 @@ def verify_trace_corollary(field, t, cs=None):
     h3 = hg_H3(field, 1 / t, cs=cs)
     return CheckReport(
         "trace", q, t,
-        passed=(T == nearest == h3) and residual < RESIDUAL_LIMIT,
+        passed=T == nearest == h3,
         lhs=T, rhs=nearest, residual=residual, detail={"h3": h3},
     )
 

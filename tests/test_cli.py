@@ -409,6 +409,34 @@ def test_certification_failure_exits_1_without_traceback(error, monkeypatch, cap
     assert err == "certification failed: rounding residual 2.12e+05 above 0.001 at q = 1009\n"
 
 
+def test_noisy_bcm_gauss_expression_exits_1_without_traceback(monkeypatch, capsys):
+    from hgmk3 import k3count
+
+    build = k3count.get_character_system
+
+    def noisy(field):  # the one cell asks once, for the field the CLI just built
+        cs = build(field)
+        cs.gauss[1] += 0.5
+        return cs
+
+    monkeypatch.setattr(k3count, "get_character_system", noisy)
+    code, out = run(["verify", "bcm", "--q", "7", "--t", "2"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("certification failed: rounding residual ") and err.count("\n") == 1
+
+
+def test_trace_bound_miss_exits_1_without_traceback(monkeypatch, capsys):
+    # the 3q bound's miss is an IntegrityError, a certification failure
+    from hgmk3 import k3count
+
+    monkeypatch.setattr(k3count, "count_elliptic_surface", lambda field, t: (10**6, {}))
+    code, out = run(["verify", "trace", "--q", "7", "--t", "2"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("certification failed: |T| = ") and err.count("\n") == 1
+
+
 def test_lemma_sweep_builds_no_gauss_table(monkeypatch):
     from hgmk3.charsum import CharacterSystem
 

@@ -169,6 +169,23 @@ def test_curve_trace_theorem_spot_values():
     assert r.skipped and "singular" in r.reason  # 4*8 - 27 = 5 = 0 mod 5
 
 
+def test_curve_trace_theorem_tests_singularity_once_per_cell(monkeypatch):
+    calls = []
+    discriminant = WeierstrassCurve.discriminant
+
+    def counted(self):
+        calls.append(self)
+        return discriminant(self)
+
+    monkeypatch.setattr(WeierstrassCurve, "discriminant", counted)
+    r = verify_curve_trace_theorem(field_new(5), 1, 1)
+    assert r.passed and len(calls) == 1
+    # a singular cell is skipped before H2 is evaluated
+    monkeypatch.setattr(ecount, "hg_H2", None)
+    r = verify_curve_trace_theorem(field_new(5), 2, 1)
+    assert r.skipped and r.reason == "singular: 4a^3 = 27b^2"
+
+
 def test_curve_trace_theorem_rejects_q_divisible_by_3():
     f9 = field_new(3, 2)
     with pytest.raises(DomainError):

@@ -131,7 +131,7 @@ def test_compiled_eval_matches_exact_evaluation(name):
     from hgmk3.geomver.modeval import eval_mod, random_prime
 
     entry = CATALOG[name]
-    exprs = [*(e for _, e in entry.derived), *(eq for eq, _ in entry.solve_steps),
+    exprs = [*(eq for eq, _ in entry.solve_steps),
              *(e for _, e in entry.outputs), *entry.target_eqs]
     rng = random.Random(f"compiled:{name}")
     for _ in range(3):
@@ -203,6 +203,57 @@ def test_random_prime_stream_is_pinned():
     primes = ",".join(str(random_prime(rng)) for _ in range(200))
     assert hashlib.sha256(primes.encode()).hexdigest() == (
         "8e4cb696b84cfbaa740e0215508d28ac3dc72cd510dba80dde1aef471fb63c88")
+
+
+def test_linear_solve_step_draws_nothing():
+    import random
+
+    import sympy as sp
+
+    from hgmk3.geomver.modeval import random_prime, solve_step
+
+    t, rho = sp.symbols("t rho")
+    rng = random.Random(3)
+    p = random_prime(rng)
+    state = rng.getstate()
+    assert solve_step(t - rho**4, t, {rho: 5}, p, rng) == 625
+    assert solve_step(t - 1, t, {}, p, rng) == 1
+    assert rng.getstate() == state
+
+
+def test_no_output_maps_a_symbol_to_itself():
+    # the image starts as a copy of the sampled point, so such an output is a no-op
+    for name, entry in CATALOG.items():
+        assert all(sym != expr for sym, expr in entry.outputs), name
+
+
+def test_fixed_coordinate_entries_sample_the_pinned_stream(monkeypatch):
+    # t = rho^2, rho^4 or 1 is a linear constraint; pinning the (prime, point) stream
+    # each trial pushes through the map checks the solved t and every draw after it
+    # directly, not only through pass/fail
+    import hashlib
+
+    from hgmk3.geomver import sz
+
+    pushed = []
+    through = sz._through
+
+    def recording(links):
+        push = through(links)
+
+        def wrapped(values, p):
+            pushed.append((p, sorted((str(k), v) for k, v in values.items())))
+            return push(values, p)
+
+        return wrapped
+
+    monkeypatch.setattr(sz, "_through", recording)
+    for name in ("family19_to_si_quartic", "si_quartic_to_si_form", "si_normal_to_si_form",
+                 "qt_section_t1"):
+        assert verify_map(name, trials=5).passed
+    assert len(pushed) == 20
+    assert hashlib.sha256(repr(pushed).encode()).hexdigest() == (
+        "8a255b7ef8a809a38b424f0cc75dff596337596788508df6b0d1619c068afceb")
 
 
 def test_determinism_same_seed():

@@ -293,6 +293,16 @@ def test_surface_count_report_certifies_the_sum_side():
         surface_count_report(f, F(2))
 
 
+def test_bcm_gauss_expression_is_certified_by_the_rounding_rule():
+    from hgmk3.charsum import PrecisionError, get_character_system
+
+    f = field_new(7)
+    cs = get_character_system(f)
+    cs.gauss[1] += 0.5
+    with pytest.raises(PrecisionError, match="rounding residual"):
+        verify_bcm_identity(f, F(2), cs)
+
+
 def test_surface_count_report_skips_naive_above_bound():
     from hgmk3.k3count import NAIVE_MAX_Q, surface_count_report
 
