@@ -1,10 +1,14 @@
 """Kodaira-type diagnostics for the elliptic fibrations and the j-invariant pair.
 
 For a fixed rational parameter each model's c4, c6, discriminant are exact
-univariate polynomials over Q; vanishing orders at the named places (with the
-degree-weighted flip at infinity: c4, c6, delta are sections of degree 8, 12,
-24 on a K3) feed the standard order table.  Orders are reduced by (4, 6, 12)
-whenever the local model is non-minimal.
+univariate polynomials over Q: the Weierstrass coefficients become `Poly`s
+over QQ and the generic `WeierstrassCurve` arithmetic runs on them, with no
+expression trees (`xslice` builds its quartic and I, J in a polynomial ring).
+The discriminant's irreducible factors, from `Poly.factor_list`, name the
+places; vanishing orders there (with the degree-weighted flip at infinity:
+c4, c6, delta are sections of degree 8, 12, 24 on a K3) feed the standard
+order table.  Orders are reduced by (4, 6, 12) whenever the local model is
+non-minimal.
 
 `j_match_check` is public API that only the tests call: an oracle matching the
 mod-q j-invariants of the curve pair against the exact pair formula.
@@ -55,8 +59,8 @@ class FibrationProfile:
 
 
 def _weierstrass_polys(a2, a4, a6):
-    curve = WeierstrassCurve(a2, a4, a6)
-    return tuple(sp.Poly(sp.expand(c), _s) for c in (curve.c4(), curve.c6(), curve.discriminant()))
+    curve = WeierstrassCurve(*(sp.Poly(c, _s, domain="QQ") for c in (a2, a4, a6)))
+    return curve.c4(), curve.c6(), curve.discriminant()
 
 
 def _model_family19(t):
@@ -68,7 +72,7 @@ def _model_family19alt(t):
 
 
 def _model_weier1(t):
-    return 2 * (32 * _s**4 - 64 * _s**3 + 32 * _s**2 - t), sp.Rational(t) ** 2 + 0 * _s, sp.Integer(0)
+    return 2 * (32 * _s**4 - 64 * _s**3 + 32 * _s**2 - t), t**2, sp.Integer(0)
 
 
 def _model_inose(t):
@@ -82,13 +86,13 @@ def _model_xslice(t):
     # the surface sliced by its first affine coordinate: a genus-1 quartic in the
     # remaining variables; profile its Jacobian via the classical I, J invariants
     a = R(1, 256) / t
-    sig = sp.symbols("_sig")
-    quartic = _s**2 * (1 - sig) ** 2 * (sig - _s) ** 2 - 4 * a * _s * (sig - _s)
-    qp = sp.Poly(sp.expand(quartic), sig)
-    e4, e3, e2, e1, e0 = qp.all_coeffs()
+    ring_s, s = sp.ring([_s], sp.QQ)
+    _, sig = sp.ring("_sig", ring_s)
+    quartic = s**2 * (1 - sig) ** 2 * (sig - s) ** 2 - 4 * a * s * (sig - s)
+    e4, e3, e2, e1, e0 = (quartic.coeff(sig**k) for k in range(4, -1, -1))
     I = 12 * e4 * e0 - 3 * e3 * e1 + e2**2
     J = 72 * e4 * e2 * e0 - 27 * e4 * e1**2 - 27 * e3**2 * e0 + 9 * e3 * e2 * e1 - 2 * e2**3
-    return sp.Integer(0), sp.expand(-27 * I), sp.expand(-27 * J)
+    return sp.Integer(0), *(sp.Poly.from_dict(-27 * c, _s, domain="QQ") for c in (I, J))
 
 
 MODELS = {
@@ -107,7 +111,7 @@ _K3_DEGREES = (8, 12, 24)
 def _ord_at_poly(poly, place):
     n = 0
     while not poly.is_zero:
-        q, r = sp.div(poly, place)
+        q, r = poly.div(place)
         if not r.is_zero:
             break
         poly = q
@@ -195,17 +199,15 @@ def kodaira_profile(model, t):
     named, rest_type = _expected_types(model, t)
     places = []
     total = 0
-    _, factors = sp.factor_list(delta.as_expr(), _s)
-    for fexpr, _mult in sorted(factors, key=lambda fm: str(fm[0])):
-        fpoly = sp.Poly(fexpr, _s)
-        if fpoly.degree() == 0:
-            continue
+    _, factors = delta.factor_list()
+    for fpoly, mult in sorted(factors, key=lambda fm: str(fm[0].as_expr())):
         fpoly = fpoly.monic()
         if fpoly.degree() == 1:
-            label = f"s={sp.nsimplify(-fpoly.all_coeffs()[1])}"
+            label = f"s={-fpoly.all_coeffs()[1]}"
         else:
             label = f"s^{fpoly.degree()}[{fpoly.as_expr()}]"
-        oc4, oc6, od = _minimalize(*(_ord_at_poly(c, fpoly) for c in (c4, c6, delta)))
+        # the factor's multiplicity is the discriminant's order there
+        oc4, oc6, od = _minimalize(_ord_at_poly(c4, fpoly), _ord_at_poly(c6, fpoly), mult)
         if od == 0:
             continue
         ktype = kodaira_from_orders(oc4, oc6, od)
@@ -260,7 +262,7 @@ class JPair:
 
 def j_pair_coefficients(t):
     """(A, B) with the j-pair of t equal to {A +- B sqrt(t(t-1))}, in t's own ring
-    (a Fraction, a sympy expression or a Poly)."""
+    (a Fraction, a sympy expression, a Poly or a sympy rational-function field element)."""
     return 64 * (512 * t * t - 414 * t + 27), 128 * (256 * t - 81)
 
 

@@ -24,8 +24,10 @@ estimate, not a proven bound on the chance that a wrong map passes.
 The exact checks return a `k3count.CheckReport`: "si_parameters" and "x0_2".
 
 The Shioda-Inose parameter system and the X_0(2) identities are closed forms
-over Q, so `_is_zero` proves each one by cancelling it to 0 as a rational
-function; nothing there is sampled.
+over Q, built as elements of sympy rational-function fields
+(`sympy.polys.fields.field`).  A field element is always in lowest terms, so
+an identity holds exactly when its value equals 0; `_subs` substitutes
+field elements into one.  Nothing there is sampled.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
+from sympy import QQ
+from sympy.polys.fields import field
 
 from ..ecount import WeierstrassCurve
 from ..ffield import DomainError
@@ -165,7 +168,7 @@ def verify_Qt_on_curve(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 def _si_sym():
-    h, g, a, b, c, d, t = sp.symbols("h g a b c d t")
+    _, h, g, a, b, c, d, t = field("h g a b c d t", QQ)
     param = {
         a: 8 * (3 * h**6 - 8) / (3 * h**14 * (h**6 - 2) ** 2),
         b: 64 * (9 * h**6 - 16) / (27 * h**21 * (h**6 - 2) ** 3),
@@ -189,9 +192,44 @@ def _si_sym():
     return h, g, a, b, c, d, t, param, system, gform, d2_g, b_g
 
 
-def _is_zero(expr):
-    """expr is identically zero as a rational function over Q."""
-    return sp.cancel(sp.together(expr)) == 0
+def _subs(f, values):
+    """The field element f with each generator in `values` replaced by a field element.
+
+    Numerator and denominator are summed term by term as uncancelled fractions
+    of ring elements, and the quotient is cancelled once.
+    """
+    K, ring = f.field, f.field.ring
+
+    def at(poly):
+        num, den = ring.zero, ring.one
+        for monom, coeff in poly.terms():
+            n, d = ring(coeff), ring.one
+            for x, e in zip(K.gens, monom):
+                v = values.get(x, x)
+                n, d = n * v.numer**e, d * v.denom**e
+            num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+        return num, den
+
+    (n1, d1), (n2, d2) = at(f.numer), at(f.denom)
+    return K.new(n1 * d2, d1 * n2)
+
+
+def _si_identities(si):
+    """{name: field element} of each identity on the `_si_sym()` tuple si; all 0 when it holds."""
+    h, g, a, b, c, d, t, param, system, gform, d2_g, b_g = si
+    # A, B solve the j-pair system: A^3 = j1 j2 / 12^6, B^2 = (1-j1/12^3)(1-j2/12^3)
+    A = (16 * t + 9) / 9
+    B2 = 4 * t * (81 - 32 * t) ** 2 / 729
+    j_mid, j_rad = j_pair_coefficients(t)  # {j1, j2} = j_mid +- j_rad sqrt(t(t-1))
+    j_sum = 2 * j_mid
+    j_prod = j_mid**2 - j_rad**2 * t * (t - 1)
+    identities = {f"system eq {i}": _subs(eq, param) for i, eq in enumerate(system, 1)}
+    identities |= {f"{sym}(g=h^2)": _subs(gform[sym], {g: h**2}) - param[sym] for sym in (a, c, t)}
+    identities["d^2(g=h^2)"] = _subs(d2_g, {g: h**2}) - param[d] ** 2
+    identities["b(g=h^2)"] = _subs(b_g, {g: h**2, d: param[d]}) - param[b]
+    identities["A^3 = j1 j2/12^6"] = A**3 - j_prod / 12**6
+    identities["B^2 = (1-j1/12^3)(1-j2/12^3)"] = B2 - (1 - j_sum / 12**3 + j_prod / 12**6)
+    return identities
 
 
 def verify_si_parameters():
@@ -201,35 +239,23 @@ def verify_si_parameters():
     with the g-form consistency (g = h^2) and the A, B <-> j-pair identities.
     detail["failed"] names every identity that does not vanish.
     """
-    h, g, a, b, c, d, t, param, system, gform, d2_g, b_g = _si_sym()
+    si = _si_sym()
+    h, g, a, b, c, d, t, param, system, *_ = si
     # exact h = 1 hand-verified quintuple
-    at1 = {sym: sp.nsimplify(expr.subs(h, 1)) for sym, expr in param.items()}
-    expected = {a: sp.Rational(-40, 3), b: sp.Rational(448, 27),
-                c: sp.Rational(-10, 3), d: sp.Rational(-56, 27), t: 1}
+    at1 = {sym: _subs(expr, {h: h.field.one}) for sym, expr in param.items()}
+    expected = {a: QQ(-40, 3), b: QQ(448, 27), c: QQ(-10, 3), d: QQ(-56, 27), t: 1}
     detail = {"h=1": {str(k): str(v) for k, v in at1.items()}}
-    ok = at1 == expected
-    ok &= all(eq.subs(at1) == 0 for eq in system)
-    # A, B solve the j-pair system: A^3 = j1 j2 / 12^6, B^2 = (1-j1/12^3)(1-j2/12^3)
-    A = (16 * t + 9) / 9
-    B2 = sp.Rational(4, 729) * t * (81 - 32 * t) ** 2
-    j_mid, j_rad = j_pair_coefficients(t)  # {j1, j2} = j_mid +- j_rad sqrt(t(t-1))
-    j_sum = 2 * j_mid
-    j_prod = j_mid**2 - j_rad**2 * t * (t - 1)
-    identities = {f"system eq {i}": eq.subs(param) for i, eq in enumerate(system, 1)}
-    identities |= {f"{sym}(g=h^2)": gform[sym].subs(g, h**2) - param[sym] for sym in (a, c, t)}
-    identities["d^2(g=h^2)"] = d2_g.subs(g, h**2) - param[d] ** 2
-    identities["b(g=h^2)"] = b_g.subs({g: h**2, d: param[d]}) - param[b]
-    identities["A^3 = j1 j2/12^6"] = A**3 - j_prod / 12**6
-    identities["B^2 = (1-j1/12^3)(1-j2/12^3)"] = B2 - (1 - j_sum / 12**3 + j_prod / 12**6)
-    failed = [name for name, expr in identities.items() if not _is_zero(expr)]
+    ok = at1 == {sym: h.field(v) for sym, v in expected.items()}
+    ok &= all(_subs(eq, at1) == 0 for eq in system)
+    failed = [name for name, expr in _si_identities(si).items() if expr != 0]
     if failed:
         detail["failed"] = failed
-    return CheckReport("si_parameters", passed=bool(ok) and not failed, detail=detail)
+    return CheckReport("si_parameters", passed=ok and not failed, detail=detail)
 
 
 def _x0_2_sym():
     """u+-(s) on the two Legendre-type models, and u, s, t on y^2 = x^3 + a x^2 + b x."""
-    s, aa, bb = sp.symbols("s aa bb")
+    _, s, aa, bb = field("s aa bb", QQ)
     param = {
         "u+": -64 * (1 + s) / (-1 + s),
         "u-": -64 * (-1 + s) / (1 + s),
@@ -238,6 +264,20 @@ def _x0_2_sym():
         "t(a,b)": aa**4 / (16 * (aa**2 - 4 * bb) * bb),
     }
     return s, aa, bb, param
+
+
+def _x0_2_identities(x0):
+    """{name: field element} of each identity on the `_x0_2_sym()` tuple x0; all 0 when it holds."""
+    s, aa, bb, param = x0
+    j_model = lambda a2, a4: WeierstrassCurve(a2, a4, 0).j_invariant()
+    j_of_u = lambda uu: (uu + 256) ** 3 / uu**2
+    t_ab = param["t(a,b)"]
+    return {
+        "j(u+) = j(E2 model)": j_of_u(param["u+"]) - j_model(4, 2 * (1 + s)),
+        "j(u-) = j(E1 model)": j_of_u(param["u-"]) - j_model(-2, (1 - s) / 2),
+        "j(u(a,b)) = j(curve)": j_of_u(param["u(a,b)"]) - j_model(aa, bb),
+        "s(a,b)^2 = (t-1)/t": param["s(a,b)"] ** 2 - (t_ab - 1) / t_ab,
+    }
 
 
 def x0_2_checks():
@@ -249,17 +289,7 @@ def x0_2_checks():
     t = a^4/(16(a^2-4b)b) satisfying s^2 = (t-1)/t exactly.  Each identity is
     proved as a rational function, then spot-checked at (a, b) = (3, 1).
     """
-    s, aa, bb, param = _x0_2_sym()
-    j_model = lambda a2, a4: WeierstrassCurve(a2, a4, 0).j_invariant()
-    j_of_u = lambda uu: (uu + 256) ** 3 / uu**2
-    t_ab = param["t(a,b)"]
-    detail = {
-        "j(u+) = j(E2 model)": _is_zero(j_of_u(param["u+"]) - j_model(4, 2 * (1 + s))),
-        "j(u-) = j(E1 model)": _is_zero(
-            j_of_u(param["u-"]) - j_model(-2, sp.Rational(1, 2) * (1 - s))),
-        "j(u(a,b)) = j(curve)": _is_zero(j_of_u(param["u(a,b)"]) - j_model(aa, bb)),
-        "s(a,b)^2 = (t-1)/t": _is_zero(param["s(a,b)"] ** 2 - (t_ab - 1) / t_ab),
-    }
+    detail = {name: expr == 0 for name, expr in _x0_2_identities(_x0_2_sym()).items()}
     # exact rational spot check; (a, b) = (2, 1) degenerates (a^2 = 4b), use (3, 1)
     av, bv = 3, 1
     sv = Fraction(-av**2 + 8 * bv, av**2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,14 +81,19 @@ class GramLattice:
                         m[k][j] -= c * m[k][i]
         return pivots
 
+    @cached_property
+    def _pivot_tuple(self):
+        """`_pivots()`, eliminated once per lattice (the dataclass is frozen, not slotted)."""
+        return tuple(self._pivots())
+
     def det(self):
         """The product of the pivots, an int when integral."""
-        d = math.prod(self._pivots(), start=Fraction(1))
+        d = math.prod(self._pivot_tuple, start=Fraction(1))
         return int(d) if d.denominator == 1 else d
 
     def signature(self):
         """(n_plus, n_minus), the signs of the pivots; a zero pivot is degenerate."""
-        pivots = self._pivots()
+        pivots = self._pivot_tuple
         return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
 
     def is_even(self):

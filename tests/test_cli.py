@@ -195,6 +195,27 @@ def test_fibration_profile_verb():
     assert any(l.get("kodaira") == "II*" for l in lines)
 
 
+FIBRATION_T = ("81/256", "2", "1", "-9/16", "3/7", "-1", "10")
+
+
+@pytest.mark.parametrize("model, digest", [
+    ("family19", "164d43a14744c0c7b6a2d2a40e66867216fdfe8194ed2a7068abc23503eea628"),
+    ("family19alt", "7ced8e709beccd1250fb1f8a9b58cb302c84323b338adf7ff8cba6d02fcdef7b"),
+    ("weier1", "bcee99a61358409a5e9d3b30e2baf7b3c6f2ed5f432f4a969413814c5027d9de"),
+    ("inose", "b7200dc8bbec994b2216d4aacaf9f09e19a5e5b4a39402e969f09c49b4fb1b27"),
+    ("xslice", "b75c19b116bd2b211f6319338bfb380ad1e2f7d5589a47e62f71102e7bd26132"),
+])
+def test_fibration_profile_output_is_pinned(model, digest):
+    # SHA-256 of the stdout of the seven runs in turn: place labels, their order,
+    # orders and types, byte for byte
+    outs = []
+    for t in FIBRATION_T:
+        code, out = run(["fibration", "profile", "--model", model, f"--t={t}"])
+        assert code == 0, (model, t)
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
+
+
 def test_lattice_verbs():
     code, out = run(["lattice", "ns-generic"])
     assert code == 0

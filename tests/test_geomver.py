@@ -350,6 +350,38 @@ def test_x0_2_detects_a_perturbed_u_plus(monkeypatch):
     assert [name for name, ok in r.detail.items() if not ok] == ["j(u+) = j(E2 model)"]
 
 
+def _cancels_to_zero(expr):
+    import sympy as sp
+
+    return sp.cancel(sp.together(expr)) == 0
+
+
+def test_identities_cancel_to_zero_as_expressions():
+    # the expression-tree cross-check: every identity, converted out of its field
+    from hgmk3.geomver import sz
+
+    identities = sz._si_identities(sz._si_sym()) | sz._x0_2_identities(sz._x0_2_sym())
+    assert len(identities) == 15
+    for name, value in identities.items():
+        assert _cancels_to_zero(value.as_expr()), name
+
+
+def test_perturbed_identities_do_not_cancel_as_expressions():
+    from hgmk3.geomver import sz
+
+    si = sz._si_sym()
+    a, param = si[2], si[7]
+    param[a] = 2 * param[a]
+    nonzero = [name for name, value in sz._si_identities(si).items()
+               if not _cancels_to_zero(value.as_expr())]
+    assert nonzero == ["system eq 1", "system eq 4", "a(g=h^2)"]
+    x0 = sz._x0_2_sym()
+    x0[3]["u+"] = 2 * x0[3]["u+"]
+    nonzero = [name for name, value in sz._x0_2_identities(x0).items()
+               if not _cancels_to_zero(value.as_expr())]
+    assert nonzero == ["j(u+) = j(E2 model)"]
+
+
 @pytest.mark.parametrize("check", [
     verify_si_parameters, x0_2_checks, verify_classification_consistency,
 ])
@@ -387,17 +419,22 @@ def test_j_pair_t1():
 
 def test_j_pair_coefficients_in_every_ring():
     import sympy as sp
+    from sympy.polys.fields import field
 
     sym = sp.Symbol("t")
     symbolic = j_pair_coefficients(sym)
     poly = j_pair_coefficients(sp.Poly(sym))
+    _, ft = field("t", sp.QQ)
+    in_field = j_pair_coefficients(ft)
     for t in (F(2), F(81, 256), F(-9, 16), F(1, 7)):
         exact = j_pair_coefficients(t)
         pair = j_invariants_pair(t)
         assert exact == (pair.rational_part, pair.radical_coeff)
+        r = sp.Rational(t.numerator, t.denominator)
         assert tuple(sp.Rational(c.numerator, c.denominator) for c in exact) \
-            == tuple(e.subs(sym, sp.Rational(t.numerator, t.denominator)) for e in symbolic) \
-            == tuple(c.eval(sp.Rational(t.numerator, t.denominator)) for c in poly)
+            == tuple(e.subs(sym, r) for e in symbolic) \
+            == tuple(c.eval(r) for c in poly) \
+            == tuple(c.subs(ft, sp.QQ(t.numerator, t.denominator)).as_expr() for c in in_field)
 
 
 def test_j_pair_cm_values():

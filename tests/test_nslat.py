@@ -235,3 +235,17 @@ def test_det_of_a_fractional_gram():
     assert lat.signature() == (1, 1)
     assert GramLattice(((0, 0), (0, 0))).det() == 0
     assert GramLattice(((0, 0), (0, 0))).signature() == (0, 0)
+
+
+def test_det_and_signature_share_one_elimination(monkeypatch):
+    calls = []
+    pivots = GramLattice._pivots
+
+    def counting(self):
+        calls.append(self)
+        return pivots(self)
+
+    monkeypatch.setattr(GramLattice, "_pivots", counting)
+    lat = ns_gram_generic()
+    assert (lat.det(), lat.signature()) == (4, (1, 18))
+    assert len(calls) == 1  # one per call before the pivots were cached
