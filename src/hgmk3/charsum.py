@@ -12,8 +12,11 @@ raises PrecisionError.  Exactness downstream is recovered by integer rounding
 plus independent point-count oracles.
 
 A table is read through `CharacterSystem.gauss` (index m mod q-1) and
-`omega_vector`.  The `twist` argument (psi(x) = psi_q(a x)) is public API that
-only the tests use, to show that sums do not depend on the additive character.
+`omega_vector`, which evaluates exp(2j * pi * r / (q-1)) on demand in that
+operand order, bit-identical to a table of roots (folding 2j * pi / (q-1)
+changes the bits).  `get_character_system` caches the canonical table on its
+field; the keyword-only `twist` (psi(x) = psi_q(a x)), which only the tests
+use to show that sums do not depend on psi, builds uncached tables.
 """
 
 from __future__ import annotations
@@ -34,13 +37,8 @@ def tolerance(q):
     return 1e-6 * math.sqrt(q)
 
 
-def _check_precision(precision):
-    if precision != 53:
-        raise ValueError(f"only 53-bit Gauss tables exist; got precision={precision!r}")
-
-
 class CharacterSystem:
-    """Gauss-sum table plus root-of-unity lookup tables for one field.
+    """The Gauss-sum table of one field and additive character.
 
     Attributes:
         field: the underlying FieldSpec.
@@ -50,15 +48,14 @@ class CharacterSystem:
         twist: code of the element a defining psi(x) = psi_q(a x) (1 = canonical).
     """
 
-    def __init__(self, field: FieldSpec, precision=53, twist=1):
-        _check_precision(precision)
+    precision = 53
+
+    def __init__(self, field: FieldSpec, *, twist=1):
         self.field = field
-        self.precision = 53
         self.twist = int(twist)
         if not 1 <= self.twist < field.q:
             raise DomainError("additive-character twist must be a nonzero element code")
         q = field.q
-        self._zeta = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
         self.gauss = self._build_double()
         dev = np.abs(np.abs(self.gauss) ** 2 - q)
         dev[0] = 0.0
@@ -69,30 +66,24 @@ class CharacterSystem:
         self.gauss[0] = -1.0  # exact: full additive sum is 0, minus the x=0 term
         self._hg_cache = {}
 
-    def _trace_sequence(self):
-        f = self.field
-        codes = f.exp
-        if self.twist != 1:
-            codes = f.mul_codes(codes, np.int32(self.twist))
-        return f.trace[codes]
-
     def _build_double(self):
         f = self.field
-        c = np.exp(2j * np.pi * self._trace_sequence() / f.p)
+        codes = f.exp if self.twist == 1 else f.mul_codes(f.exp, np.int32(self.twist))
+        c = np.exp(2j * np.pi * f.trace[codes] / f.p)
         # G[m] = sum_k c_k zeta_{q-1}^{km}
         return np.fft.ifft(c) * (f.q - 1)
 
     def omega_vector(self, x, ms):
         """omega(x)^m over an integer array of m values."""
-        k = dlog(self.field, x)
-        return self._zeta[(np.asarray(ms, dtype=np.int64) * k) % (self.field.q - 1)]
+        N = self.field.q - 1
+        r = (np.asarray(ms, dtype=np.int64) * dlog(self.field, x)) % N
+        return np.exp(2j * np.pi * r / N)
 
 
-def get_character_system(field, precision=53, twist=1):
-    """The field's CharacterSystem for this twist, cached on the field; precision must be 53."""
-    _check_precision(precision)
-    cs = field.character_systems.get(twist)
-    if cs is None:
-        cs = CharacterSystem(field, precision, twist)
-        field.character_systems[twist] = cs
-    return cs
+def get_character_system(field, precision=53):
+    """The field's canonical CharacterSystem, cached on the field; precision must be 53."""
+    if precision != CharacterSystem.precision:
+        raise ValueError(f"only 53-bit Gauss tables exist; got precision={precision!r}")
+    if field.character_system is None:
+        field.character_system = CharacterSystem(field)
+    return field.character_system

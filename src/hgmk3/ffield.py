@@ -219,10 +219,10 @@ class FieldSpec:
         dlog: int32 array over codes, dlog[0] = -1.
         zech: int32 array, zech[k] = dlog(1 + generator^k), -1 when 1+g^k = 0.
         trace: int32 array over codes, absolute trace to F_p.
-        character_systems: twist code -> CharacterSystem, filled by
-            charsum.get_character_system, so a table lives as long as its field.
+        character_system: the canonical charsum.CharacterSystem, None until
+            charsum.get_character_system builds it; it lives as long as the field.
 
-    Construction is single-threaded; apart from that table cache, instances are
+    Construction is single-threaded; apart from that table slot, instances are
     never mutated afterwards and are safe for concurrent read-only sharing.
     """
 
@@ -252,7 +252,7 @@ class FieldSpec:
                 raise FieldConstructionError(f"code {generator} does not generate F_{q}^x")
             self.generator = int(generator)
         self._build_tables()
-        self.character_systems = {}
+        self.character_system = None
 
     def next_generator(self):
         """Field rebuilt with the next-larger generator (for independence checks)."""

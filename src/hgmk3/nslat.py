@@ -18,6 +18,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 
 class LatticeError(ValueError):
     """Inconsistent graph data, unknown table class, or inadmissible profile."""
@@ -104,6 +106,7 @@ class GramLattice:
 
 
 def direct_sum(*lattices):
+    """The orthogonal sum; the summands' pivots, concatenated, diagonalise it."""
     n = sum(l.rank for l in lattices)
     offset = 0
     entries = [[0] * n for _ in range(n)]
@@ -112,7 +115,9 @@ def direct_sum(*lattices):
             for j in range(lat.rank):
                 entries[offset + i][offset + j] = lat.entries[i][j]
         offset += lat.rank
-    return GramLattice(tuple(tuple(row) for row in entries))
+    out = GramLattice(tuple(tuple(row) for row in entries))
+    object.__setattr__(out, "_pivot_tuple", tuple(d for l in lattices for d in l._pivot_tuple))
+    return out
 
 
 U = GramLattice(((0, 1), (1, 0)))
@@ -199,10 +204,8 @@ def ns_gram_generic():
     """The rank-19 Gram matrix; asserts the orthogonal block decomposition."""
     m, _ = curve_graph_gram()
     basis = ns_basis_vectors()
-    gram = [
-        [sum(bi[a] * m[a][b] * bj[b] for a in range(22) for b in range(22)) for bj in basis]
-        for bi in basis
-    ]
+    B = np.array(basis, dtype=np.int64)
+    gram = (B @ np.array(m, dtype=np.int64) @ B.T).tolist()  # Python ints
     lat = GramLattice(tuple(tuple(row) for row in gram))
     blocks = [range(0, 8), range(8, 16), range(16, 18), range(18, 19)]
     for bi in range(4):

@@ -115,8 +115,8 @@ def test_only_53_bit_precision_is_accepted():
     for bits in (64, 128):
         with pytest.raises(ValueError):
             get_character_system(f, bits)  # also when the 53-bit table is cached
-        with pytest.raises(ValueError):
-            CharacterSystem(f, bits)
+        with pytest.raises(TypeError):
+            CharacterSystem(f, bits)  # no precision argument; twist is keyword-only
 
 
 def test_cached_factory_distinguishes_twist_and_precision():
@@ -125,5 +125,40 @@ def test_cached_factory_distinguishes_twist_and_precision():
     b = get_character_system(f)
     assert a is b
     assert get_character_system(f, 53) is a  # the precision argument is not a key
-    c = get_character_system(f, twist=2)
-    assert c is not a
+    assert f.character_system is a
+
+
+def _zeta_table(q):
+    """zeta_{q-1}^r for every r, precomputed: the values omega_vector must match bit for bit."""
+    return np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (101, 1), (7, 3)])
+def test_omega_vector_is_bit_identical_to_table_gather(p, n):
+    f = field_new(p, n)
+    N = f.q - 1
+    cs = get_character_system(f)
+    table = _zeta_table(f.q)
+    ms = np.arange(N, dtype=np.int64)
+    for k in range(N):
+        got = cs.omega_vector(f.gen() ** k, ms)
+        assert np.array_equal(got, table[(ms * k) % N])
+
+
+def test_omega_vector_is_bit_identical_to_table_gather_at_a_million():
+    f = field_new(1000003)
+    N = f.q - 1
+    cs = get_character_system(f)
+    table = _zeta_table(f.q)
+    rng = np.random.default_rng(1)
+    ms = np.concatenate([np.arange(64), rng.integers(0, N, 4096)])
+    for k in [1, 2, 3, N // 2, N - 1, *rng.integers(1, N, 8).tolist()]:
+        got = cs.omega_vector(f.gen() ** k, ms)
+        assert np.array_equal(got, table[(ms * k) % N])
+
+
+def test_system_holds_one_length_q_minus_1_array():
+    f = field_new(101)
+    cs = get_character_system(f)
+    arrays = {name for name, v in vars(cs).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"gauss"} and cs.gauss.shape == (f.q - 1,)

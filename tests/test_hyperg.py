@@ -324,7 +324,7 @@ def flat_hg_sum(datum, field, t_elem):
         w *= cs.gauss[(-qq * ms) % N]
     z = field.from_rational(F(datum.epsilon) / datum.M) * t_elem
     sign = (-1) ** (len(datum.p_list) + len(datum.q_list))
-    value = complex(np.dot(w, cs._zeta[(ms * z.e) % N])) * sign / (1 - q)
+    value = complex(np.dot(w, cs.omega_vector(z, ms))) * sign / (1 - q)
     denom = q ** (datum.s0() - 1)
     return value, F(round((value * denom).real), denom)
 

@@ -194,6 +194,53 @@ def test_signature_conventions():
     assert generic_tr.signature() == (2, 1)
 
 
+def _table5_lattices():
+    """The rank-20 lattice of every stored table row, and ns_cm_gram's where it applies."""
+    from hgmk3.cmdata import ns_lattice_rows
+
+    out = []
+    for a, b, c in ns_lattice_rows().values():
+        out.append(direct_sum(E8_NEG, E8_NEG, U, GramLattice(((a, b), (b, c)))))
+        if a == -4 and b in (0, 2):
+            prof = SectionProfile(p_O=(-c - 4) // 2, p_g3=b // 2)
+            out.append(ns_cm_gram(prof))
+    return out
+
+
+_SMALL_SUMS = [
+    (U, U),
+    (GramLattice(((0, 0), (0, 0))), U, GramLattice(((-4,),))),
+    (GramLattice(((0, 2), (2, 0))), GramLattice(((0,),)), E8_NEG),
+    (GramLattice(((F(1, 2), 1), (1, F(3, 4)))), GramLattice(((2, 1), (1, -3)))),
+    (direct_sum(U, GramLattice(((4,),))), GramLattice(((0, 1, 1), (1, 0, 1), (1, 1, 0)))),
+]
+
+
+@pytest.mark.parametrize(
+    "lat", _table5_lattices() + [direct_sum(*parts) for parts in _SMALL_SUMS]
+)
+def test_direct_sum_pivots_match_a_fresh_elimination(lat):
+    fresh = GramLattice(lat.entries)
+    assert "_pivot_tuple" not in vars(fresh)
+    assert lat.det() == fresh.det()
+    assert type(lat.det()) is type(fresh.det())
+    assert lat.signature() == fresh.signature()
+
+
+def test_direct_sum_is_not_eliminated_afresh(monkeypatch):
+    calls = []
+    pivots = GramLattice._pivots
+
+    def counting(self):
+        calls.append(self.rank)
+        return pivots(self)
+
+    monkeypatch.setattr(GramLattice, "_pivots", counting)
+    lat = direct_sum(E8_NEG, U, GramLattice(((-4, 2), (2, -6))))
+    assert (lat.det(), lat.signature()) == (-20, (1, 11))
+    assert 12 not in calls
+
+
 @st.composite
 def symmetric_int_matrices(draw):
     """Symmetric integer matrices up to 6 x 6, some with zero diagonal, some singular."""
