@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -410,6 +411,8 @@ def _add_sampler_args(p):
 
 
 def build_parser():
+    from .geomver.kodaira import MODELS
+
     top = argparse.ArgumentParser(prog="hgmk3", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
@@ -470,8 +473,7 @@ def build_parser():
     p = sub.add_parser("fibration")
     fsub = p.add_subparsers(dest="which", required=True)
     f = fsub.add_parser("profile")
-    f.add_argument("--model", required=True,
-                   choices=("family19", "family19alt", "weier1", "inose", "xslice"))
+    f.add_argument("--model", required=True, choices=MODELS)
     f.add_argument("--t", required=True)
     f.set_defaults(func=cmd_fibration_profile)
 
@@ -533,7 +535,15 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        # stdout was closed early (`| head`): silence the interpreter's last flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _input_errors() as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -70,6 +70,10 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
+    def equation(self, x, y):
+        """y^2 - (x^3 + a2 x^2 + a4 x + a6), in the ring of x and y."""
+        return y**2 - (x**3 + self.a2 * x**2 + self.a4 * x + self.a6)
+
     def is_singular(self):
         d = self.discriminant()
         return d.is_zero if isinstance(d, FqElem) else d == 0
@@ -237,11 +241,13 @@ def trace(curve):
     return curve.field.q + 1 - count_points(curve)
 
 
-def e1_e2(t, S, field=None):
-    """The isogenous pair E1: y^2=x^3-2x^2+(1-S)x/2 and E2: y^2=x^3+4x^2+2(1+S)x.
+def curve_pair(S):
+    """E1: y^2 = x^3 - 2x^2 + (1-S)x/2 and E2: y^2 = x^3 + 4x^2 + 2(1+S)x, in S's ring."""
+    return WeierstrassCurve(-2, (1 - S) / 2, 0), WeierstrassCurve(4, 2 * (1 + S), 0)
 
-    S must satisfy S^2 = (t-1)/t in the coefficient field.
-    """
+
+def e1_e2(t, S, field=None):
+    """The curve pair over Q (field None) or F_q; S must satisfy S^2 = (t-1)/t there."""
     def elem(v):  # into the coefficient field: Q when field is None, else F_q
         if field is None:
             return Fraction(v)
@@ -252,12 +258,12 @@ def e1_e2(t, S, field=None):
         raise DomainError("t = 0")
     if S * S * t != t - 1:
         raise ValueError("S^2 != (t-1)/t")
-    e1 = WeierstrassCurve(elem(-2), (1 - S) / elem(2), elem(0), field)
-    e2 = WeierstrassCurve(elem(4), elem(2) * (1 + S), elem(0), field)
-    for curve in (e1, e2):
+    pair = tuple(WeierstrassCurve(elem(c.a2), elem(c.a4), elem(c.a6), field)
+                 for c in curve_pair(S))
+    for curve in pair:
         if curve.is_singular():
             raise SingularCurveError(curve.discriminant())
-    return e1, e2
+    return pair
 
 
 def trace_over_extension(a_q, q, n):

@@ -1,9 +1,10 @@
 """Kodaira-type diagnostics for the elliptic fibrations and the j-invariant pair.
 
 For a fixed rational parameter each model's c4, c6, discriminant are exact
-univariate polynomials over Q: the Weierstrass coefficients become `Poly`s
-over QQ and the generic `WeierstrassCurve` arithmetic runs on them, with no
-expression trees (`xslice` builds its quartic and I, J in a polynomial ring).
+univariate polynomials over Q: the Weierstrass coefficients of the curves in
+`maps.FIBRATIONS` (the ones the map catalog lands on) become `Poly`s over QQ
+and the generic `WeierstrassCurve` arithmetic runs on them (`xslice` builds
+its quartic and I, J in a polynomial ring).
 The discriminant's irreducible factors, from `Poly.factor_list`, name the
 places; vanishing orders there (with the degree-weighted flip at infinity:
 c4, c6, delta are sections of degree 8, 12, 24 on a K3) feed the standard
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
-from sympy import Rational as R
 
 from ..ecount import WeierstrassCurve, e1_e2
+from .maps import FIBRATIONS
 
 _s = sp.symbols("s")
 
@@ -58,34 +59,24 @@ class FibrationProfile:
         return self.euler_total == 24 and all(p.matches for p in self.places)
 
 
-def _weierstrass_polys(a2, a4, a6):
-    curve = WeierstrassCurve(*(sp.Poly(c, _s, domain="QQ") for c in (a2, a4, a6)))
+def _weierstrass_polys(model, t):
+    """c4, c6 and the discriminant of the model at t, as Polys in s over QQ."""
+    if model == "xslice":
+        coeffs = _model_xslice(t)
+    else:
+        curve = FIBRATIONS[model](t, _s)
+        coeffs = (curve.a2, curve.a4, curve.a6)
+    if model == "inose":
+        # the u-line model has a 1/u term: X -> X/u^2, Y -> Y/u^3 clears it
+        coeffs = [c * _s**i for c, i in zip(coeffs, (2, 4, 6))]
+    curve = WeierstrassCurve(*(sp.Poly(c, _s, domain="QQ") for c in coeffs))
     return curve.c4(), curve.c6(), curve.discriminant()
-
-
-def _model_family19(t):
-    return R(1, 4) * (_s**2 - 1) ** 2, _s**2 * (_s**2 - 1) ** 3 / (64 * t), sp.Integer(0)
-
-
-def _model_family19alt(t):
-    return 4 * _s**2, -(_s**3) * (_s - 1) ** 2 / t, sp.Integer(0)
-
-
-def _model_weier1(t):
-    return 2 * (32 * _s**4 - 64 * _s**3 + 32 * _s**2 - t), t**2, sp.Integer(0)
-
-
-def _model_inose(t):
-    # u-line model cleared of 1/u: X -> X/u^2, Y -> Y/u^3
-    a4 = -R(16, 3) * t**3 * (16 * t + 9) * _s**4
-    a6 = 512 * t**5 * _s**7 + R(8, 27) * (1024 * t**2 - 2592 * t) * t**4 * _s**6 + 8 * t**4 * _s**5
-    return sp.Integer(0), a4, a6
 
 
 def _model_xslice(t):
     # the surface sliced by its first affine coordinate: a genus-1 quartic in the
     # remaining variables; profile its Jacobian via the classical I, J invariants
-    a = R(1, 256) / t
+    a = 1 / (256 * t)
     ring_s, s = sp.ring([_s], sp.QQ)
     _, sig = sp.ring("_sig", ring_s)
     quartic = s**2 * (1 - sig) ** 2 * (sig - s) ** 2 - 4 * a * s * (sig - s)
@@ -95,13 +86,8 @@ def _model_xslice(t):
     return sp.Integer(0), *(sp.Poly.from_dict(-27 * c, _s, domain="QQ") for c in (I, J))
 
 
-MODELS = {
-    "family19": _model_family19,
-    "family19alt": _model_family19alt,
-    "weier1": _model_weier1,
-    "inose": _model_inose,
-    "xslice": _model_xslice,
-}
+# the `fibration profile --model` names: the four Weierstrass fibrations and the slice
+MODELS = (*FIBRATIONS, "xslice")
 
 # weight of the fundamental line bundle for an elliptic K3: deg c4 <= 8,
 # deg c6 <= 12, deg delta <= 24
@@ -194,8 +180,7 @@ def kodaira_profile(model, t):
         raise FibrationError(f"unknown model {model!r}; have {sorted(MODELS)}")
     if t == 0:
         raise FibrationError("parameter t = 0 is outside every family")
-    a2, a4, a6 = MODELS[model](sp.Rational(t))
-    c4, c6, delta = _weierstrass_polys(a2, a4, a6)
+    c4, c6, delta = _weierstrass_polys(model, sp.Rational(t))
     named, rest_type = _expected_types(model, t)
     places = []
     total = 0

@@ -5,7 +5,9 @@ solvable for a designated variable (of degree <= 2, and in no denominator),
 the map components, and the target equations that must vanish on the image.
 A coordinate fixed by the others, such as t = rho^2, is a linear constraint
 (t - rho^2, t).  Entries whose printed source needed a correction carry the
-story in `note`.
+story in `note`.  The four elliptic fibrations (`FIBRATIONS`) and the curve
+pair E1, E2 (`ecount.curve_pair`) are `WeierstrassCurve`s written once; the
+targets on them are their `equation`s.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import cached_property
 import sympy as sp
 from sympy import Rational as R
 
+from ..ecount import WeierstrassCurve, curve_pair
 from .modeval import together_degree
 
 x, y, z, s, t, u, v, S, X, Y, Yp, u1, x1, x2, rho = sp.symbols(
@@ -56,37 +59,19 @@ class RationalMap:
 # surface equations
 # ---------------------------------------------------------------------------
 
-def f_cubic(T):
-    """Right factor of the double sextic: T^3 - 2T^2 + (1-S)T/2."""
-    return T**3 - 2 * T**2 + R(1, 2) * (1 - S) * T
-
-
-def g_cubic(T):
-    return T**3 + 4 * T**2 + 2 * (1 + S) * T
-
-
-def family19_eq(XX, YY, ss):
-    return YY**2 - (
-        XX**3 + R(1, 4) * (ss**2 - 1) ** 2 * XX**2 + ss**2 * (ss**2 - 1) ** 3 / (64 * t) * XX
-    )
-
-
-def family19alt_eq(XX, YY, ss):
-    return YY**2 - (XX**3 + 4 * ss**2 * XX**2 - ss**3 * (ss - 1) ** 2 / t * XX)
-
-
-def weier1_eq(XX, YY, ss):
-    return YY**2 - XX * (XX**2 + XX * 2 * (32 * ss**4 - 64 * ss**3 + 32 * ss**2 - t) + t**2)
-
-
-def inose_eq(XX, YY, uu):
-    return YY**2 - (
-        XX**3
-        - R(16, 3) * t**3 * (16 * t + 9) * XX
-        + 512 * t**5 * uu
-        + 8 * t**4 / uu
-        + R(8, 27) * (1024 * t**2 - 2592 * t) * t**4
-    )
+# the four elliptic fibrations of the surface in (t, fibration parameter), keyed
+# by their `fibration profile --model` names; kodaira profiles the same curves
+FIBRATIONS = {
+    "family19": lambda t, s: WeierstrassCurve(
+        R(1, 4) * (s**2 - 1) ** 2, s**2 * (s**2 - 1) ** 3 / (64 * t), 0),
+    "family19alt": lambda t, s: WeierstrassCurve(4 * s**2, -(s**3) * (s - 1) ** 2 / t, 0),
+    "weier1": lambda t, s: WeierstrassCurve(2 * (32 * s**4 - 64 * s**3 + 32 * s**2 - t), t**2, 0),
+    "inose": lambda t, u: WeierstrassCurve(
+        0,
+        -R(16, 3) * t**3 * (16 * t + 9),
+        512 * t**5 * u + 8 * t**4 / u + R(8, 27) * (1024 * t**2 - 2592 * t) * t**4,
+    ),
+}
 
 
 def si_form_eq(XX, YY, uu):
@@ -123,11 +108,15 @@ X8_EQ = y**2 - R(-1, 8) / t**3 * (t * u**2 + (1 - t) * v**2) * (
     + (t - 1) ** 2 * v**4
 )
 
-X7_EQ = y**2 - f_cubic(x1) * g_cubic(x2)
+E1, E2 = curve_pair(S)
+F1, G2 = -E1.equation(x1, 0), -E2.equation(x2, 0)  # the cubics of E1 at x1 and E2 at x2
 
-X6_EQ = Y**2 - (X**3 - 2 * g_cubic(x2) * X**2 + R(1, 2) * (1 - S) * g_cubic(x2) ** 2 * X)
+X7_EQ = y**2 - F1 * G2
 
-X5_EQ = f_cubic(x1) - u**2 * g_cubic(x2)
+# E1 twisted by G2
+X6_EQ = WeierstrassCurve(E1.a2 * G2, E1.a4 * G2**2, E1.a6 * G2**3).equation(X, Y)
+
+X5_EQ = F1 - u**2 * G2
 
 PSI5_A = (
     2 * u**2
@@ -176,6 +165,8 @@ QT_Y = (1 - 64 * t * u**2) * (64 * t * u * (2 * u * (32 * t * (u - 2) * (u - 1) 
 
 def _entries():
     maps = []
+    family19 = FIBRATIONS["family19"](t, s)
+    inose = FIBRATIONS["inose"](t, u)
     v_t = x * y * z * (1 - (x + y + z)) - 1 / (256 * t)
     maps.append(RationalMap(
         "surface_to_slice",
@@ -198,7 +189,7 @@ def _entries():
         free=(x, s, t),
         solve_steps=((x * (s - x) * z * (1 - (s + z)) - t / 256, z),),
         outputs=((X, t - s * t / x), (Y, 8 * s * t * (s - x) * (s + 2 * z - 1) / x)),
-        target_eqs=(weier1_eq(X, Y, s),),
+        target_eqs=(FIBRATIONS["weier1"](t, s).equation(X, Y),),
         note="source carries the surface at the inverse parameter (constant term t/256)",
     ))
     maps.append(RationalMap(
@@ -209,20 +200,20 @@ def _entries():
             (X, 2 * (s - 1) ** 2 * s * x * (2 * s * x + s * z - s + z - 1)),
             (Y, (s - 1) ** 3 * s * x * (4 * s * x - s - 1) * (2 * s * x + s * z - s + z - 1)),
         ),
-        target_eqs=(family19_eq(X, Y, s),),
+        target_eqs=(family19.equation(X, Y),),
     ))
     sigma = (s - 1) / (s + 1)
     maps.append(RationalMap(
         "family19_to_family19alt",
         free=(X, s, t),
-        solve_steps=((family19_eq(X, Y, sigma), Y),),
+        solve_steps=((FIBRATIONS["family19"](t, sigma).equation(X, Y), Y),),
         outputs=((x1, X * (s + 1) ** 4), (x2, Y * (s + 1) ** 6)),
-        target_eqs=(family19alt_eq(x1, x2, s),),
+        target_eqs=(FIBRATIONS["family19alt"](t, s).equation(x1, x2),),
     ))
     maps.append(RationalMap(
         "family19_to_inose_quartic",
         free=(s, u, t),
-        solve_steps=((family19_eq(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / 8, s), Yp),),
+        solve_steps=((family19.equation(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / 8), Yp),),
         outputs=(),
         target_eqs=(INOSE_QUARTIC - Yp**2,),
     ))
@@ -237,14 +228,16 @@ def _entries():
                                   + 3 * s * (s - 1) ** 2)
                      + t * Yp * (s * (64 * t * u**2 - 1) + 64 * t * u)) / (8 * s**3 * u**2)),
         ),
-        target_eqs=(inose_eq(X, Y, u),),
+        target_eqs=(inose.equation(X, Y),),
         note="Yp enters both components with weight t, matching the sqrt(t)-twisted variant",
     ))
     maps.append(RationalMap(
         "family19_to_si_quartic",
         free=(s, u, rho),
-        solve_steps=((t - rho**2, t),
-                     (family19_eq(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / (8 * rho), s), Yp)),
+        solve_steps=(
+            (t - rho**2, t),
+            (family19.equation(u * (s + 1) ** 3 * s, Yp * s * (1 + s) ** 3 / (8 * rho)), Yp),
+        ),
         outputs=(),
         target_eqs=(SI_QUARTIC - Yp**2,),
         note="rho stands for sqrt(t)",
@@ -286,14 +279,14 @@ def _entries():
         "psi7",
         free=(x1, x2, t),
         solve_steps=(S_CONSTRAINT, (X7_EQ, y)),
-        outputs=((X, x1 * g_cubic(x2)), (Y, y * g_cubic(x2))),
+        outputs=((X, x1 * G2), (Y, y * G2)),
         target_eqs=(X6_EQ,),
     ))
     maps.append(RationalMap(
         "psi6",
         free=(X, x2, t),
         solve_steps=(S_CONSTRAINT, (X6_EQ, Y)),
-        outputs=((x1, X / g_cubic(x2)), (u, Y / g_cubic(x2) ** 2)),
+        outputs=((x1, X / G2), (u, Y / G2 ** 2)),
         target_eqs=(X5_EQ,),
     ))
     maps.append(RationalMap(
@@ -322,21 +315,21 @@ def _entries():
         free=(x, u, t),
         solve_steps=(S_CONSTRAINT, (X2_EQ, y)),
         outputs=((u1, u**2 * (1 + S)),),
-        target_eqs=(inose_eq(x, y, u1),),
+        target_eqs=(FIBRATIONS["inose"](t, u1).equation(x, y),),
     ))
     maps.append(RationalMap(
         "qt_section",
         free=(u, t),
         solve_steps=(),
         outputs=((X, QT_X), (Y, QT_Y)),
-        target_eqs=(inose_eq(X, Y, u),),
+        target_eqs=(inose.equation(X, Y),),
     ))
     maps.append(RationalMap(
         "qt_section_t1",
         free=(u,),
         solve_steps=((t - 1, t),),
         outputs=((X, QT_X), (Y, QT_Y)),
-        target_eqs=(inose_eq(X, Y, u),),
+        target_eqs=(inose.equation(X, Y),),
     ))
     maps.append(RationalMap(
         "identity_sanity",

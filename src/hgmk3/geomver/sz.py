@@ -39,7 +39,7 @@ from fractions import Fraction
 from sympy import QQ
 from sympy.polys.fields import field
 
-from ..ecount import WeierstrassCurve
+from ..ecount import WeierstrassCurve, curve_pair
 from ..ffield import DomainError
 from ..k3count import CheckReport
 from .kodaira import j_pair_coefficients
@@ -148,12 +148,10 @@ def verify_all_maps(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, only=None):
 
 def verify_chain_psi(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """[report] for the composition psi2 o ... o psi8; `verify_map` samples each link."""
-    from .maps import inose_eq, u1, x, y
-
     rng = _rng("psi_chain", trials, seed)
     links = [CATALOG[n] for n in PSI_CHAIN]
     return [_sample(
-        "psi_chain", links[0], _through(links), (inose_eq(x, y, u1),),
+        "psi_chain", links[0], _through(links), links[-1].target_eqs,
         max(link.degree_bound for link in links), trials, rng,
     )]
 
@@ -269,13 +267,13 @@ def _x0_2_sym():
 def _x0_2_identities(x0):
     """{name: field element} of each identity on the `_x0_2_sym()` tuple x0; all 0 when it holds."""
     s, aa, bb, param = x0
-    j_model = lambda a2, a4: WeierstrassCurve(a2, a4, 0).j_invariant()
+    e1, e2 = curve_pair(s)
     j_of_u = lambda uu: (uu + 256) ** 3 / uu**2
     t_ab = param["t(a,b)"]
     return {
-        "j(u+) = j(E2 model)": j_of_u(param["u+"]) - j_model(4, 2 * (1 + s)),
-        "j(u-) = j(E1 model)": j_of_u(param["u-"]) - j_model(-2, (1 - s) / 2),
-        "j(u(a,b)) = j(curve)": j_of_u(param["u(a,b)"]) - j_model(aa, bb),
+        "j(u+) = j(E2 model)": j_of_u(param["u+"]) - e2.j_invariant(),
+        "j(u-) = j(E1 model)": j_of_u(param["u-"]) - e1.j_invariant(),
+        "j(u(a,b)) = j(curve)": j_of_u(param["u(a,b)"]) - WeierstrassCurve(aa, bb, 0).j_invariant(),
         "s(a,b)^2 = (t-1)/t": param["s(a,b)"] ** 2 - (t_ab - 1) / t_ab,
     }
 

@@ -168,6 +168,38 @@ def test_verify_maps_stdout_is_pinned():
         "cdc16c1852044c9aaf0d8fd6ef37619fd27595aba479298e991709f4b558230b")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "x0-2"], "59576b0a28c1c5cfe5afe230b636d07e05a34d46ac03ce6727d4e302169b9e1d"),
+    (["verify", "si-params"], "74fb4bf881bd46dd5e41a38db6f5d1f7e3bf6679a46ef42bb7d1ddb7106b975e"),
+    (["cm", "verify"], "4cdd72cb14c109f859b09502df41d9dd3eaabd3523f03800264e6cc8f20b52d5"),
+    (["lattice", "table5"], "831a8957f5922d1e765c9a946b1c98ee7531187be30fbe48f9552cebec1eb6c5"),
+])
+def test_exact_check_stdout_is_pinned(argv, digest):
+    code, out = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    import os
+    import subprocess
+    import sys
+
+    import hgmk3
+
+    src = os.path.dirname(os.path.dirname(hgmk3.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hgmk3.cli", "verify", "curve-theorem", "--q", "49"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["check"] == "curve-theorem"
+    proc.stdout.close()  # as `| head -n 1` does
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
+
+
 def test_verify_maps_single_entry():
     code, out = run(["verify", "maps", "--only", "identity_sanity", "--trials", "4"])
     assert code == 0
@@ -193,6 +225,16 @@ def test_fibration_profile_verb():
     lines = [json.loads(line) for line in out.splitlines()]
     assert lines[-1]["euler_total"] == 24 and lines[-1]["pass"]
     assert any(l.get("kodaira") == "II*" for l in lines)
+
+
+def test_fibration_models_come_from_the_model_table():
+    from hgmk3.geomver.kodaira import MODELS
+    from hgmk3.geomver.maps import FIBRATIONS
+
+    assert MODELS == (*FIBRATIONS, "xslice")
+    assert MODELS == ("family19", "family19alt", "weier1", "inose", "xslice")
+    (profile,) = [v for v in _all_subparsers(build_parser()) if v.prog.endswith("fibration profile")]
+    assert profile._option_string_actions["--model"].choices == MODELS
 
 
 FIBRATION_T = ("81/256", "2", "1", "-9/16", "3/7", "-1", "10")

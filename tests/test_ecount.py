@@ -94,6 +94,27 @@ def test_e1_e2_models():
         e1_e2(f7.from_int(2), f7.from_int(3), f7)
 
 
+@pytest.mark.parametrize("p, n", [(7, 1), (3, 2), (13, 1)])
+def test_equation_vanishes_on_the_counted_points(p, n):
+    # the affine zeros of y^2 - (x^3 + a2 x^2 + a4 x + a6) plus the point at
+    # infinity are what the counter counts, on every nonsingular curve pair
+    f = field_new(p, n)
+    elems = [f.from_code(c) for c in range(f.q)]
+    pairs = 0
+    for S in elems:
+        if S * S == f.one():
+            continue
+        try:  # t = 1/(1 - S^2) gives S^2 = (t-1)/t
+            pair = e1_e2(f.one() / (f.one() - S * S), S, f)
+        except ecount.SingularCurveError:
+            continue
+        pairs += 1
+        for curve in pair:
+            zeros = sum(curve.equation(x, y).is_zero for x in elems for y in elems)
+            assert zeros + 1 == count_points(curve)
+    assert pairs >= 2
+
+
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_isogeny_invariance_and_hasse(q):
     f = field_new(q)
