@@ -2,11 +2,14 @@
 K3 model, plus the verifiers tying the counts to the hypergeometric sums.
 
 The affine surface is counted two independent ways (a literal triple loop and a
-solved-quadratic loop over (x, y)).  The projective elliptic surface is counted
-fiber by fiber over P^1: smooth fibers by the quadratic-character loop, the two
-8-component fibers as 8q+1, the 4-cycle fiber as 4q, nodal fibers as
+solved-quadratic character sum over (x, y)).  The projective elliptic surface is
+counted fiber by fiber over P^1: smooth fibers by a quadratic-character sum, the
+two 8-component fibers as 8q+1, the 4-cycle fiber as 4q, nodal fibers as
 q + 2 + delta(-2, -2), and the fiber at infinity on the scaled model
-y^2 = x^3 + x^2/4 + x/(64t).
+y^2 = x^3 + x^2/4 + x/(64t).  Both character sums are q x q grids that reduce to
+one circular correlation (`_chi_shift_sums`), taken by a real FFT in
+O(q log q) with its rounding proven exact before use, so every count reaches
+the q <= 2^24 bound.
 
 Two oracles are public API that only the tests call: `count_quadric` counts
 1 = X^2 + t Y^2 by enumeration (against q - chi(-t)), and `delta_correction`
@@ -20,13 +23,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .charsum import get_character_system
 from .ffield import FqElem, ReductionError, dlog, quadratic_character, sqrt
 from .hyperg import IntegrityError, hg_H2, hg_H3, round_certified
 
-# Cells per block of rows in a counting grid: int64 temporaries stay near 8 MB.
+# Cells per block of rows in count_quadric's enumeration grid (its only use):
+# int64 temporaries stay near 8 MB.
 BLOCK_CELLS = 1 << 20
 # Largest q at which surface_count_report also runs the O(q^3) naive count
 # (about 2 s per t at q = 401).
@@ -116,29 +119,65 @@ def count_affine(field, t, mode="solved-z"):
     sums = _chi_shift_sums(field, 2 * (j + Z[j]), np.ones_like(j), d - K - 2 * Z[d])
     total = int((1 - 2 * ((K + d) & 1)) @ (sums + 1))
     # the row d = N/2: x + y = 0, w = 1, chi(1 + c) with c = g^(K - 2i - N/2)
-    i = np.arange(N)
-    total += int(_chi_shift_sums(field, -2 * i, np.ones_like(i), np.array([K - H]))[0])
+    total += int(_chi_one_plus(field)[(K - H - 2 * np.arange(N)) % N].sum())
     return N * N + total
+
+
+def _chi_one_plus(field):
+    """chi(1 + g^m) for m in Z/(q-1): +-1 by the parity of zech[m], 0 at m = N/2."""
+    z = field.zech.astype(np.int64)
+    return np.where(z < 0, 0, 1 - 2 * (z & 1))
+
+
+def _fft_error_bound(norm_a, norm_b, L):
+    """Bound on every entry's error in a floating-point FFT correlation of real
+    vectors with Euclidean norms norm_a, norm_b, at power-of-two length L.
+
+    Percival, Math. Comp. 72 (2003), Thm 5.1, with k = log2 L, eps = 2^-53 and the
+    twiddle-factor error beta taken as eps:
+    norm_a norm_b ((1 + eps)^3k (1 + eps sqrt 5)^(3k+1) (1 + beta)^3k - 1).
+    """
+    eps = 2.0**-53
+    k = L.bit_length() - 1
+    log_growth = 6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5))
+    return norm_a * norm_b * math.expm1(log_growth)
 
 
 def _chi_shift_sums(field, cols, weights, shifts):
     """For each s in `shifts`: sum_k weights[k] chi(1 + g^(cols[k] + s)), exactly.
 
-    A circular correlation: the columns are binned by exponent mod q-1, and the
-    row for shift s is the window s .. s+q-2 of the doubled chi(1 + g^m) sequence
-    applied to the bins, BLOCK_CELLS cells at a time.
+    A circular correlation: the columns are binned by exponent mod N = q-1, and
+    every shift's sum is one entry of the correlation of the doubled chi(1 + g^m)
+    sequence with the bins, taken by one real-FFT product at a power-of-two length
+    L >= 2N (no wrap-around).  The entries are integers; the rounding is certified
+    before use: IntegrityError unless the a-priori error bound (_fft_error_bound)
+    is below 1/2 and no entry lies farther than that bound from an integer.
     """
     N = field.q - 1
-    z = field.zech.astype(np.int64)
-    chi = np.where(z < 0, 0, 1 - 2 * (z & 1))  # chi(1 + g^m): 1 + g^(N/2) = 0
-    windows = sliding_window_view(np.concatenate([chi, chi]), N)
-    bins = np.zeros(N, dtype=np.int64)
-    np.add.at(bins, cols % N, weights)
-    out = np.empty(len(shifts), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // N)
-    for s in range(0, len(shifts), step):
-        out[s : s + step] = windows[shifts[s : s + step] % N] @ bins
-    return out
+    chi = _chi_one_plus(field)
+    bins = np.bincount(cols % N, weights=weights, minlength=N)
+    L = 1 << (2 * N - 1).bit_length()
+    bound = _fft_error_bound(math.sqrt(2 * np.count_nonzero(chi)), float(np.linalg.norm(bins)), L)
+    if not bound < 0.5:
+        raise IntegrityError(f"FFT rounding bound {bound:.3g} at q = {field.q} is not below 1/2")
+    # in place where it can be: at q near 2^24 each length-L array is 268 MB
+    doubled = np.empty(2 * N)
+    doubled[:N] = doubled[N:] = chi
+    del chi
+    spec = np.fft.rfft(doubled, L)
+    del doubled
+    b = np.fft.rfft(bins, L)
+    spec *= np.conjugate(b, out=b)
+    del b
+    corr = np.fft.irfft(spec, L)[:N]
+    del spec
+    out = np.rint(corr)
+    residual = float(np.abs(corr - out).max())
+    if residual > bound:
+        raise IntegrityError(
+            f"FFT correlation residual {residual:.3g} exceeds its bound {bound:.3g} at q = {field.q}"
+        )
+    return out[shifts % N].astype(np.int64)
 
 
 def _smooth_fibers_sum(field, t, r):
@@ -147,7 +186,7 @@ def _smooth_fibers_sum(field, t, r):
     N, H = q - 1, (q - 1) // 2
     Z = field.zech.astype(np.int64)
     excluded = {0, H} if r is None else {0, H, r.e, (r.e + H) % N}  # s = +-1, +-r
-    sigma = np.setdiff1d(np.arange(N), sorted(excluded))  # s = g^sigma; s = 0 is excluded
+    sigma = np.delete(np.arange(N), sorted(excluded))  # s = g^sigma; s = 0 is excluded
     # s^2 - 1 = g^mu; a2(s) = (s^2-1)^2 / 4 = g^alpha, a4(s) = s^2 (s^2-1)^3 / (64t) = g^beta
     mu = H + Z[(2 * sigma + H) % N]
     alpha = 2 * mu - dlog(field, field.from_int(4))

@@ -2,10 +2,13 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+import hgmk3.k3count as k3
 from hgmk3.ffield import field_new, quadratic_character
-from hgmk3.hyperg import hg_H2
+from hgmk3.hyperg import IntegrityError, hg_H2
 from hgmk3.k3count import (
     BadReductionError,
     count_affine,
@@ -18,6 +21,7 @@ from hgmk3.k3count import (
     verify_point_count_lemma,
     verify_trace_corollary,
 )
+from hgmk3.cli import _field_for
 
 
 def brute_affine(p, t):
@@ -30,6 +34,77 @@ def brute_affine(p, t):
         for z in range(p)
         if (x * y * z * (1 - x - y - z) - a) % p == 0
     )
+
+
+def windowed_shift_sums(field, cols, weights, shifts):
+    """sum_k weights[k] chi(1 + g^(cols[k] + s)) for each s, one window of the
+    doubled chi(1 + g^m) sequence per shift: the O(q^2) correlation."""
+    N = field.q - 1
+    z = field.zech.astype(np.int64)
+    chi = np.where(z < 0, 0, 1 - 2 * (z & 1))
+    windows = sliding_window_view(np.concatenate([chi, chi]), N)
+    bins = np.zeros(N, dtype=np.int64)
+    np.add.at(bins, cols % N, weights)
+    return np.array([windows[s % N] @ bins for s in shifts], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [7, 9, 101, 243, 2003, 2187])
+def test_fft_shift_sums_match_the_windowed_correlation(q):
+    f = _field_for(q)
+    N = q - 1
+    rng = np.random.default_rng(q)
+    # 2N columns over N bins repeat some bins; signed weights can cancel in a bin
+    cols = rng.integers(-3 * N, 3 * N, size=2 * N)
+    weights = rng.choice([-1, 1], size=2 * N)
+    shifts = np.concatenate([np.arange(N), rng.integers(-5 * N, 5 * N, size=50)])
+    got = k3._chi_shift_sums(f, cols, weights, shifts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, windowed_shift_sums(f, cols, weights, shifts))
+
+
+def test_fft_shift_sums_certify_their_rounding(monkeypatch):
+    f = field_new(2003)
+    N = f.q - 1
+    cols = np.arange(N)
+    # weights near 2^40: the a-priori error bound is far above 1/2
+    with pytest.raises(IntegrityError, match="not below 1/2"):
+        k3._chi_shift_sums(f, cols, np.full(N, 1 << 40), np.arange(N))
+    # an inverse transform a quarter off every integer exceeds the bound it was given
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.25)
+    with pytest.raises(IntegrityError, match="residual"):
+        k3._chi_shift_sums(f, cols, np.ones(N, dtype=np.int64), np.arange(N))
+
+
+@pytest.fixture
+def t_by_code(monkeypatch):
+    """An integer t names the element of F_q with that code, so that every t in
+    F_q^x can be counted on extension fields too (a rational t reduces into F_p)."""
+
+    def t_mod(field, t):
+        return field.from_code(int(t))
+
+    def inverse_argument(field, t):
+        return field.from_rational(F(1, 256)) / t_mod(field, t)
+
+    monkeypatch.setattr(k3, "_t_mod", t_mod)
+    monkeypatch.setattr(k3, "_reduce_inverse_argument", inverse_argument)
+
+
+@pytest.mark.parametrize("q", [7, 9, 25, 27, 31])
+def test_affine_count_matches_naive_at_every_t(q, t_by_code):
+    f = _field_for(q)
+    for code in range(1, q):
+        assert count_affine(f, code) == count_affine(f, code, "naive"), (q, code)
+
+
+@pytest.mark.parametrize("q", [101, 243, 401])
+def test_point_count_lemma_at_every_t(q, t_by_code):
+    f = _field_for(q)
+    for code in range(1, q):
+        r = verify_point_count_lemma(f, code)
+        assert r.skipped == (code == 1), (q, code, r)  # t = 1: bad reduction
+        assert r.skipped or (r.passed and r.residual == 0.0), (q, code, r)
 
 
 def test_affine_count_oracles():
@@ -312,6 +387,14 @@ def test_surface_count_report_skips_naive_above_bound():
     assert set(rep.affine) == {"solved-z", "hypergeometric"}
     assert rep.methods_agree and rep.surface is not None
     assert rep.surface - (22 * 2003 - 2) == rep.affine["solved-z"]
+
+
+def test_bcm_and_lemma_at_q_1000003():
+    f = field_new(1000003)
+    bcm = verify_bcm_identity(f, F(2))
+    assert bcm.passed and bcm.lhs == bcm.rhs == 1000003904084
+    lemma = verify_point_count_lemma(f, F(2))
+    assert lemma.passed and lemma.lhs == lemma.rhs == 1000025904148
 
 
 def test_bcm_and_trace_at_default_settings_q_10007():
