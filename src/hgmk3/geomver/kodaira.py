@@ -136,41 +136,19 @@ def _minimalize(oc4, oc6, od):
     return oc4, oc6, od
 
 
-def _expected_types(model, t):
-    """Named places with expected types, plus the expected type of residual places."""
-    t = Fraction(t)
-    if model == "family19":
-        named = {"s=0": "I4", "s=1": "III*", "s=-1": "III*"}
-        if t == 1:
-            named["s=inf"] = "I2"
-        return named, "I1"
-    if model == "family19alt":
-        named = {"s=0": "III*", "s=inf": "III*", "s=1": "I4"}
-        if t == 1:
-            named["s=-1"] = "I2"
-        return named, "I1"
-    if model == "weier1":
-        named = {"s=0": "I2", "s=1": "I2", "s=inf": "I16"}
-        if t == 1:
-            named["s=1/2"] = "I2"
-        return named, "I1"
-    if model == "inose":
-        named = {"s=0": "II*", "s=inf": "II*"}
-        rest = "I1"
-        if t == 1:
-            named["s=-1/8"] = "I2"
-        elif t == Fraction(81, 256):
-            named["s=2/9"] = "I2"
-        elif t == Fraction(-9, 16):
-            rest = "II"
-        return named, rest
-    if model == "xslice":
-        named = {"s=0": "IV*", "s=inf": "I12"}
-        rest = "I1"
-        if t == 1:
-            named["s=1/4"] = "I2"
-        return named, rest
-    raise FibrationError(f"unknown model {model!r}")
+# model -> (named places and their types at generic t, the places added at a
+# special t, the type of every other place at a special t where it is not I1)
+EXPECTED_TYPES = {
+    "family19": ({"s=0": "I4", "s=1": "III*", "s=-1": "III*"}, {1: {"s=inf": "I2"}}, {}),
+    "family19alt": ({"s=0": "III*", "s=inf": "III*", "s=1": "I4"}, {1: {"s=-1": "I2"}}, {}),
+    "weier1": ({"s=0": "I2", "s=1": "I2", "s=inf": "I16"}, {1: {"s=1/2": "I2"}}, {}),
+    "inose": (
+        {"s=0": "II*", "s=inf": "II*"},
+        {1: {"s=-1/8": "I2"}, Fraction(81, 256): {"s=2/9": "I2"}},
+        {Fraction(-9, 16): "II"},
+    ),
+    "xslice": ({"s=0": "IV*", "s=inf": "I12"}, {1: {"s=1/4": "I2"}}, {}),
+}
 
 
 def kodaira_profile(model, t):
@@ -181,7 +159,9 @@ def kodaira_profile(model, t):
     if t == 0:
         raise FibrationError("parameter t = 0 is outside every family")
     c4, c6, delta = _weierstrass_polys(model, sp.Rational(t))
-    named, rest_type = _expected_types(model, t)
+    named, added, rest = EXPECTED_TYPES[model]
+    named = {**named, **added.get(t, {})}
+    rest_type = rest.get(t, "I1")
     places = []
     total = 0
     _, factors = delta.factor_list()

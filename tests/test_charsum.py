@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hgmk3.charsum import CharacterSystem, get_character_system
+from hgmk3 import charsum
+from hgmk3.charsum import SPLIT_MIN, CharacterSystem, get_character_system
 from hgmk3.ffield import DomainError, field_new
 
 
@@ -58,12 +59,66 @@ def test_index_reduction():
     assert cs5.gauss[-2] == cs5.gauss[2]
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (7, 1), (13, 1)])
-def test_full_table_matches_brute_force(p, n):
+@pytest.mark.parametrize(
+    "p,n,split_min",
+    [pytest.param(p, n, SPLIT_MIN, id=f"{p}-{n}") for p, n in [(3, 2), (7, 1), (13, 1)]]
+    + [
+        pytest.param(p, n, 1, id=f"{p}-{n}-split")
+        for p, n in [(7, 1), (13, 1), (3, 2), (17, 1), (97, 1), (107, 1), (3, 5), (7, 3)]
+    ],
+)
+def test_full_table_matches_brute_force(p, n, split_min, monkeypatch):
+    # split_min = 1 builds by the Good-Thomas split, at q - 1 = 6, 12, 8,
+    # 16 (one axis), 96 = 2^5 * 3 (16 rows in the half grid), 106,
+    # 242 = 2 * 11^2 and 342 = 2 * 3^2 * 19
+    monkeypatch.setattr(charsum, "SPLIT_MIN", split_min)
     f = field_new(p, n)
     cs = CharacterSystem(f)
     for m in range(1, f.q - 1):
         assert abs(cs.gauss[m] - brute_gauss(f, m)) < 1e-9
+
+
+@pytest.mark.parametrize("p,n", [(3, 9), (3, 10)])
+def test_split_residual_stays_near_the_plain_one(p, n, monkeypatch):
+    # over F_3^n psi takes 3 values, each about q/3 times; one set of bits per
+    # value in both halves of the grid keeps the residual near the plain
+    # transform's (0.6x and 2.5x here; 6x and 15x when the halves disagree)
+    f = field_new(p, n)
+    plain = CharacterSystem(f).residual
+    monkeypatch.setattr(charsum, "SPLIT_MIN", 1)
+    assert CharacterSystem(f).residual < 5 * plain
+
+
+def _whole_length_table(f):
+    """The single length-(q-1) transform, as the table below SPLIT_MIN is built."""
+    return np.fft.ifft(np.exp(2j * np.pi * f.trace[f.exp] / f.p)) * (f.q - 1)
+
+
+@pytest.mark.parametrize("p,n", [(101, 1), (199, 1), (3, 4), (7, 3)])
+def test_plain_table_is_the_whole_length_ifft_bit_for_bit(p, n):
+    f = field_new(p, n)
+    assert f.q - 1 < SPLIT_MIN
+    cs = CharacterSystem(f)
+    assert cs.gauss[0] == -1.0
+    assert np.array_equal(cs.gauss[1:], _whole_length_table(f)[1:])
+
+
+def test_split_table_at_a_million():
+    f = field_new(1000003)
+    q, N = f.q, f.q - 1
+    assert N >= SPLIT_MIN
+    cs = get_character_system(f)
+    assert cs.gauss[0] == -1.0
+    assert np.max(np.abs(cs.gauss[1:] - _whole_length_table(f)[1:])) < 1e-9 * q
+    m = np.arange(1, N)
+    lhs = cs.gauss[m] * cs.gauss[-m % N]
+    assert np.max(np.abs(lhs - cs.omega_vector(-f.one(), m) * q)) < 1e-8 * q
+    # 16 entries against the direct O(q) sum over x = g^k
+    psi = np.exp(2j * np.pi * f.trace[f.exp] / f.p)
+    k = np.arange(N, dtype=np.int64)
+    for mm in np.random.default_rng(23).integers(1, N, 16).tolist():
+        direct = np.sum(np.exp(2j * np.pi * (k * mm % N) / N) * psi)
+        assert abs(cs.gauss[mm] - direct) < 1e-9
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (31, 1), (113, 1), (3, 5), (7, 3), (5, 3), (343 and 7, 3)])
@@ -98,9 +153,14 @@ def test_omega_power_examples():
         cs5.omega_vector(f5.zero(), [1])
 
 
-@pytest.mark.parametrize("a", [2, 3])
-def test_additive_rescaling(a):
-    # psi(x) = psi_q(ax) rescales g(chi) by conj(chi(a))
+@pytest.mark.parametrize(
+    "a,split_min",
+    [pytest.param(2, SPLIT_MIN, id="2"), pytest.param(3, SPLIT_MIN, id="3"), pytest.param(2, 1, id="2-split")],
+)
+def test_additive_rescaling(a, split_min, monkeypatch):
+    # psi(x) = psi_q(ax) rescales g(chi) by conj(chi(a)); split_min = 1 builds
+    # both tables by the Good-Thomas split
+    monkeypatch.setattr(charsum, "SPLIT_MIN", split_min)
     f = field_new(11)
     base = CharacterSystem(f)
     tw = CharacterSystem(f, twist=f.from_int(a).code)

@@ -543,3 +543,10 @@ def test_profile_errors():
         kodaira_profile("nope", 2)
     with pytest.raises(FibrationError):
         kodaira_profile("family19", 0)
+
+
+def test_expected_types_cover_every_model():
+    # a model added to maps.FIBRATIONS needs its expected fibres here before any profile runs
+    from hgmk3.geomver import kodaira
+
+    assert kodaira.EXPECTED_TYPES.keys() == set(kodaira.MODELS)
