@@ -14,13 +14,19 @@ D(x) = gcd(prod (x^{p_j}-1), prod (x^{q_k}-1)), listed where nonzero by
     H_q = (-1)^{r+s}/(1-q) * sum_m q^{-s(0)+s(m)}
           prod_j g(p_j m) prod_k g(-q_k m) * omega(eps M^{-1} t)^m.
 
-The weights w(m) depend on the datum and the Gauss table only, and are cached
-on the CharacterSystem as an A x B matrix W[a, b] = w(a B + b), B = ceil(sqrt(q-1)),
-zero past m = q-2.  With omega(z)^(a B + b) = u[a] v[b] the sum over m is u^T W v:
-per t one complex matrix-vector product and A + B root-of-unity lookups.
+The weights w(m) depend on the datum and the Gauss table only.  With N = q - 1,
+w(N - m) = conj(w(m)): psi(-x) = conj(psi(x)) and omega(-1) = -1 give
+g(-k) = (-1)^k conj(g(k)), and sum p_j = sum q_k cancels the signs.  So the sum
+over m is 2 Re of a sum over the half line m in [0, N/2], in which the two
+self-paired terms m = 0 and m = N/2 carry w/2, stored as reals.  The half-line
+weights are cached on the CharacterSystem as an A x B matrix W[a, b] = w(a B + b),
+B = ceil(sqrt(N/2 + 1)), zero past m = N/2.  With omega(z)^(a B + b) = u[a] v[b]
+the sum over m is 2 Re(u^T W v): per t one complex matrix-vector product over
+half the line and A + B root-of-unity lookups.
 
 Values are certified by rounding: q^{s(0)-1} H_q must lie within an absolute
-threshold of an integer, or hg_sum raises charsum.PrecisionError.  The same
+threshold of an integer, at a magnitude where the float spacing is finer than
+that threshold, or hg_sum raises charsum.PrecisionError.  The same
 rule (`round_certified`) certifies the Gauss expression of k3count's bcm and
 trace checks.  There is no retry: the 53-bit Gauss table is the only one.
 """
@@ -176,11 +182,14 @@ _FILL_BLOCK = 1 << 16
 
 
 def _weights(datum, cs):
-    """Cached per-(datum, system) A x B matrix W[a, b] = w(a B + b), zero past N - 1.
+    """Cached per-(datum, system) A x B matrix W[a, b] = w(a B + b) over the half line
+    m in [0, N/2], zero past N/2.
 
-    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m).  The matrix is filled in place,
-    a block of m at a time, and a multiplier repeated in the datum is gathered once
-    per block.
+    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), and w(N - m) = conj(w(m)) (see the
+    module docstring), so the other half is never stored.  The self-paired endpoints
+    hold w(0)/2 and w(N/2)/2 as reals, so that 2 Re(u^T W v) is the whole-line sum.
+    The matrix is filled in place, a block of m at a time, and a multiplier repeated
+    in the datum is gathered once per block.
     """
     key = datum.key()
     cached = cs._hg_cache.get(key)
@@ -188,21 +197,24 @@ def _weights(datum, cs):
         return cached
     q = cs.field.q
     N = q - 1
-    B = math.isqrt(N - 1) + 1  # ceil(sqrt(N)); A = ceil(N / B) <= B rows
-    A = -(-N // B)
+    H = N // 2 + 1  # m in [0, N/2]; q is odd
+    B = math.isqrt(H - 1) + 1  # ceil(sqrt(H)); A = ceil(H / B) <= B rows
+    A = -(-H // B)
     W = np.zeros(A * B, dtype=complex)
-    w = W[:N]
+    w = W[:H]
     w.fill(float(q) ** -datum.s0())
     ms, s = _s_support(datum, N)
-    w[ms] = np.float_power(float(q), s - datum.s0())
+    half = ms < H
+    w[ms[half]] = np.float_power(float(q), s[half] - datum.s0())
     multipliers = Counter(datum.p_list + tuple(-qq for qq in datum.q_list))
-    for start in range(0, N, _FILL_BLOCK):
+    for start in range(0, H, _FILL_BLOCK):
         seg = w[start:start + _FILL_BLOCK]
         m = np.arange(start, start + len(seg), dtype=np.int64)
         for c, count in multipliers.items():
             g = cs.gauss[(c * m) % N]
             for _ in range(count):  # not g**count: same rounding as factor by factor
                 seg *= g
+    w[[0, -1]] = w[[0, -1]].real / 2
     W = W.reshape(A, B)
     cs._hg_cache[key] = W
     return W
@@ -224,7 +236,14 @@ def _reduce_argument(datum, field, t):
 
 def round_certified(value, q):
     """(nearest integer, residual) of a value that must be an integer; PrecisionError
-    above ROUNDING_THRESHOLD.  The one rounding rule of every Gauss-sum check."""
+    above ROUNDING_THRESHOLD, or where the float spacing at the value is coarser than
+    it, so that no residual could show.  The one rounding rule of every Gauss-sum check."""
+    spacing = math.ulp(value.real)
+    if spacing > ROUNDING_THRESHOLD:
+        raise PrecisionError(
+            f"float spacing {spacing:.3g} at |value| = {abs(value.real):.3g} "
+            f"above {ROUNDING_THRESHOLD} at q = {q}"
+        )
     nearest = round(value.real)
     residual = abs(value - nearest)
     if residual > ROUNDING_THRESHOLD:
@@ -246,12 +265,12 @@ def hg_sum(datum, field, t, cs=None):
     q = field.q
     W = _weights(datum, cs)
     A, B = W.shape
-    # sum_m w(m) omega(z)^m = u^T W v with v[b] = omega(z)^b, u[a] = omega(z)^(a B)
+    # sum_m w(m) omega(z)^m = 2 Re(u^T W v) with v[b] = omega(z)^b, u[a] = omega(z)^(a B)
     v = cs.omega_vector(z, np.arange(B))
     u = cs.omega_vector(z, np.arange(0, A * B, B))
-    value = complex(u @ (W @ v)) * (
+    value = complex(2 * (u @ (W @ v)).real * (
         (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
-    )
+    ))
     denom = q ** (datum.s0() - 1)
     nearest, residual = round_certified(value * denom, q)
     return HGValue(value, Fraction(nearest, denom), residual)

@@ -253,14 +253,17 @@ def trace_transcendental(field, t):
 
 def _gauss_expression(field, t, cs=None):
     """-1/q + 1/(q(q-1)) sum_m g(4m) g(-m)^4 omega(1/(256t))^m as (nearest, residual),
-    certified by hyperg.round_certified."""
+    certified by hyperg.round_certified.  The weights g(4m) g(-m)^4 over the whole
+    line are cached on the CharacterSystem beside hyperg's weight matrices."""
     if cs is None:
         cs = get_character_system(field)
     z = _reduce_inverse_argument(field, t)
     q = field.q
     N = q - 1
     ms = np.arange(N, dtype=np.int64)
-    w = cs.gauss[(4 * ms) % N] * cs.gauss[(-ms) % N] ** 4
+    w = cs._hg_cache.get("gauss_expression")
+    if w is None:
+        w = cs._hg_cache["gauss_expression"] = cs.gauss[(4 * ms) % N] * cs.gauss[(-ms) % N] ** 4
     total = complex(np.dot(w, cs.omega_vector(z, ms)))
     return round_certified(-1 / q + total / (q * (q - 1)), q)
 

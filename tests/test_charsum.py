@@ -141,6 +141,23 @@ def test_reflection_identity(p, n):
     assert np.max(np.abs(lhs - rhs)) < 1e-8 * f.q
 
 
+@pytest.mark.parametrize(
+    "p,n,twist",
+    [(3, 1, 1), (7, 1, 1), (3, 2, 1), (101, 1, 1), (7, 3, 1), (101, 1, 2), (65537, 1, 1), (1000003, 1, 1)],
+)
+def test_conjugate_symmetry(p, n, twist):
+    # g(-k) = omega^k(-1) conj(g(k)) = (-1)^k conj(g(k)), on both paths and for a
+    # twisted psi; the half-line sums of hyperg rest on it
+    f = field_new(p, n)
+    cs = CharacterSystem(f, twist=twist)
+    N = f.q - 1
+    assert (N >= SPLIT_MIN) == (f.q > 10**4)
+    k = np.arange(N)
+    sign = np.where(k % 2, -1.0, 1.0)
+    dev = np.abs(cs.gauss[-k % N] - sign * np.conj(cs.gauss[k]))
+    assert dev.max() <= charsum.tolerance(f.q)
+
+
 def test_omega_power_examples():
     f7 = field_new(7)
     cs = CharacterSystem(f7)

@@ -18,6 +18,7 @@ from hgmk3.hyperg import (
     hg_H3,
     hg_sum,
     main_datum,
+    round_certified,
 )
 
 
@@ -271,8 +272,13 @@ def test_rounding_failure_raises_without_retry(monkeypatch):
 
     f = field_new(7)
     cs = CharacterSystem(f)
-    assert hg_sum(main_datum(), f, f.from_int(4), cs=cs).rounded == -3
+    before = hg_sum(main_datum(), f, f.from_int(4), cs=cs)
+    assert before.rounded == -3
+    # the half line m in [0, 3] reads g at 4m and -m mod 6, {0, 2, 3, 4, 5}: never g(1)
     cs.gauss[1] += 0.5
+    cs._hg_cache.clear()
+    assert hg_sum(main_datum(), f, f.from_int(4), cs=cs).value == before.value
+    cs.gauss[5] += 0.5
     cs._hg_cache.clear()
 
     def no_second_table(*args, **kwargs):
@@ -281,6 +287,17 @@ def test_rounding_failure_raises_without_retry(monkeypatch):
     monkeypatch.setattr(hyperg, "get_character_system", no_second_table)
     with pytest.raises(PrecisionError):
         hg_sum(main_datum(), f, f.from_int(4), cs=cs)
+
+
+def test_value_past_the_float_resolution_raises():
+    # q^(s0-1) H near 10^19 has a float spacing of 4096: no residual could show
+    f = field_new(1009)
+    datum = datum_from_parameters((F(1, 2),) * 4, (F(1, 6), F(5, 6)) * 2)
+    with pytest.raises(PrecisionError, match="float spacing"):
+        hg_sum(datum, f, f.from_int(2))
+    with pytest.raises(PrecisionError, match="float spacing"):
+        round_certified(complex(2.0**43), f.q)
+    assert round_certified(complex(2.0**43 - 1), f.q) == (2**43 - 1, 0.0)
 
 
 def test_default_settings_above_ten_thousand():
@@ -367,10 +384,19 @@ def test_weight_cache_holds_one_padded_matrix_per_datum(p, n):
     for datum in data:
         W = cs._hg_cache[datum.key()]
         A, B = W.shape
-        assert A * B >= N and A * B - N < B and A <= B
-        assert not W.reshape(-1)[N:].any()
+        H = N // 2 + 1  # the half line m in [0, N/2]
+        assert A * B >= H and A * B - H < B and A <= B
+        assert not W.reshape(-1)[H:].any()
     # per t: A + B roots of unity, not q - 1
     assert lookups and max(lookups) <= B
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (11, 1), (101, 1), (7, 3)])
+def test_sum_is_real_by_construction(p, n):
+    f = field_new(p, n)
+    for datum in _data_for(f.q):
+        for t in (1, 2, -1):
+            assert hg_sum(datum, f, f.from_int(t)).value.imag == 0.0
 
 
 def test_large_field():

@@ -363,7 +363,7 @@ def test_surface_count_report_certifies_the_sum_side():
 
     f = field_new(7)
     cs = get_character_system(f)
-    cs.gauss[1] += 0.5
+    cs.gauss[5] += 0.5  # g(N - 1): the half-line sum never reads g(1)
     with pytest.raises(PrecisionError):
         surface_count_report(f, F(2))
 
