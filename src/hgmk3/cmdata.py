@@ -183,7 +183,7 @@ def cm_trace_survey(t, p_max):
         e1, _ = e1_e2(tm, S, field)
         rows.append(SurveyRow(
             p=p,
-            T=count_affine(field, t) + 3 * p - 3 - p * p,
+            T=count_affine(field, tm) + 3 * p - 3 - p * p,
             a_sq=trace(e1) ** 2,
             kronecker_D=quadratic_character(field, field.from_int(D)),
         ))

@@ -114,6 +114,8 @@ def datum_from_parameters(alpha, beta):
     beta = tuple(sorted(Fraction(b) for b in beta))
     if len(alpha) != len(beta):
         raise DatumError("alpha and beta must have equal length")
+    if not alpha:
+        raise DatumError("alpha and beta must be nonempty")
     for a in alpha + beta:
         if not 0 <= a < 1:
             raise DatumError(f"parameter {a} outside [0, 1)")

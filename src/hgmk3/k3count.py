@@ -3,17 +3,18 @@ K3 model, plus the verifiers tying the counts to the hypergeometric sums.
 
 The affine surface is counted two independent ways (a literal triple loop and a
 solved-quadratic character sum over (x, y)).  The projective elliptic surface is
-counted fiber by fiber over P^1: smooth fibers by a quadratic-character sum, the
-two 8-component fibers as 8q+1, the 4-cycle fiber as 4q, nodal fibers as
-q + 2 + delta(-2, -2), and the fiber at infinity on the scaled model
+counted fiber by fiber over P^1: every fiber at s != 0, +-1, smooth or nodal, by
+one quadratic-character sum, the two 8-component fibers as 8q+1, the 4-cycle
+fiber as 4q, and the fiber at infinity on the scaled model
 y^2 = x^3 + x^2/4 + x/(64t).  Both character sums are q x q grids that reduce to
 one circular correlation (`_chi_shift_sums`), taken by a real FFT in
 O(q log q) with its rounding proven exact before use, so every count reaches
 the q <= 2^24 bound.
 
-Two oracles are public API that only the tests call: `count_quadric` counts
-1 = X^2 + t Y^2 by enumeration (against q - chi(-t)), and `delta_correction`
-is the bookkeeping term tying the smooth-fiber sum to the affine count.
+Counts and checks take t as a rational, reduced mod p, or as an element of F_q;
+`_t_mod` is the one place that reduces it.  `delta_correction` is public API
+that only the tests call: the bookkeeping term tying the smooth-fiber sum to
+the affine count.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import get_character_system
-from .ffield import FqElem, ReductionError, dlog, quadratic_character, sqrt
+from .ffield import FqElem, ReductionError, _coerce, dlog, quadratic_character, sqrt
 from .hyperg import IntegrityError, hg_H2, hg_H3, round_certified
 
-# Cells per block of rows in count_quadric's enumeration grid (its only use):
-# int64 temporaries stay near 8 MB.
-BLOCK_CELLS = 1 << 20
 # Largest q at which surface_count_report also runs the O(q^3) naive count
 # (about 2 s per t at q = 401).
 NAIVE_MAX_Q = 401
@@ -41,11 +39,22 @@ class BadReductionError(ReductionError):
 
 
 def _t_mod(field, t):
-    """t mod p as a field element; an error when p divides the denominator of t."""
-    t = Fraction(t)
-    if t.denominator % field.p == 0:
-        raise BadReductionError(f"denominator of t = {t} divisible by p = {field.p}")
-    return field.from_rational(t)
+    """t as an element of `field`: a rational reduced mod p (an error when p divides
+    its denominator), or an element of this field as it is (one of another field
+    is refused)."""
+    if not isinstance(t, FqElem):
+        t = Fraction(t)
+        if t.denominator % field.p == 0:
+            raise BadReductionError(f"denominator of t = {t} divisible by p = {field.p}")
+    return _coerce(field, t)
+
+
+def _t_nonzero(field, t):
+    """_t_mod(field, t); an error when t reduces to 0."""
+    t_mod = _t_mod(field, t)
+    if t_mod.is_zero:
+        raise BadReductionError(f"t = {t} reduces to 0 mod {field.p}")
+    return t_mod
 
 
 @dataclass
@@ -77,14 +86,6 @@ def delta_if_square(value, tested):
     return value if quadratic_character(tested.field, tested) == 1 else 0
 
 
-def _reduce_inverse_argument(field, t):
-    """1/(256 t) as a field element; error when t = 0 mod p."""
-    t = Fraction(t)
-    if _t_mod(field, t).is_zero:
-        raise BadReductionError(f"t = {t} reduces to 0 mod {field.p}")
-    return field.from_rational(Fraction(1, 256) / t)
-
-
 def count_affine(field, t, mode="solved-z"):
     """|V_t(F_q)| for xyz(1-(x+y+z)) = 1/(256t).
 
@@ -92,7 +93,7 @@ def count_affine(field, t, mode="solved-z"):
     mode "solved-z": for each (x, y) with xy != 0 the equation is quadratic in z;
     roots counted as 1 + chi(disc) with chi(0) = 0 adding the double root once.
     """
-    a = _reduce_inverse_argument(field, t)
+    a = 1 / (256 * _t_nonzero(field, t))
     q = field.q
     if mode == "naive":
         nz = np.arange(1, q, dtype=np.int32)  # nonzero codes
@@ -180,13 +181,13 @@ def _chi_shift_sums(field, cols, weights, shifts):
     return out[shifts % N].astype(np.int64)
 
 
-def _smooth_fibers_sum(field, t, r):
-    """Sum of |E_s(F_q)| over s in F_q away from 0, +-1 and +-r (r^2 = t/(t-1), or None)."""
+def _fiber_counts(field, t):
+    """|E_s(F_q)| at every s = g^sigma != 0, +-1 as (sigma, counts), sigma increasing:
+    a2(s) and a4(s) are nonzero there, so one correlation counts smooth and nodal fibers."""
     q = field.q
     N, H = q - 1, (q - 1) // 2
     Z = field.zech.astype(np.int64)
-    excluded = {0, H} if r is None else {0, H, r.e, (r.e + H) % N}  # s = +-1, +-r
-    sigma = np.delete(np.arange(N), sorted(excluded))  # s = g^sigma; s = 0 is excluded
+    sigma = np.delete(np.arange(N), [0, H])  # s = g^sigma != 0; s = 1 = g^0, s = -1 = g^H
     # s^2 - 1 = g^mu; a2(s) = (s^2-1)^2 / 4 = g^alpha, a4(s) = s^2 (s^2-1)^3 / (64t) = g^beta
     mu = H + Z[(2 * sigma + H) % N]
     alpha = 2 * mu - dlog(field, field.from_int(4))
@@ -196,37 +197,38 @@ def _smooth_fibers_sum(field, t, r):
     # with chi(x) = (-1)^(alpha + k), sum_x chi(x^3 + a2 x^2 + a4 x) is (-1)^(alpha + beta)
     # (sum_{k != N/2} (-1)^k chi(1 + g^(k + Z[k] + 2 alpha - beta)) + (-1)^(N/2)).
     k = np.delete(np.arange(N), H)
-    sums = _chi_shift_sums(field, k + Z[k], 1 - 2 * (k & 1), 2 * alpha - beta)
-    chi_total = int((1 - 2 * ((alpha + beta) & 1)) @ (sums + (1 - 2 * (H & 1))))
-    return len(sigma) * (q + 1) + chi_total, len(sigma)
+    counts = _chi_shift_sums(field, k + Z[k], 1 - 2 * (k & 1), 2 * alpha - beta)
+    counts += 1 - 2 * (H & 1)
+    counts *= 1 - 2 * ((alpha + beta) & 1)
+    counts += q + 1
+    return sigma, counts
 
 
 def count_elliptic_surface(field, t):
     """|E_t(F_q)| with its per-fiber breakdown; requires t(t-1) != 0 mod p."""
-    t_mod = _t_mod(field, t)
-    if t_mod.is_zero:
-        raise BadReductionError(f"t = {t} reduces to 0 mod {field.p}")
+    t_mod = _t_nonzero(field, t)
     if t_mod == field.one():
         raise BadReductionError(
             f"t = {t} reduces to 1 mod {field.p}: fiber configuration unsupported"
         )
     q = field.q
     one = field.one()
-    # nodal fibers at s = +-r, r^2 = t/(t-1) (nonzero since t != 0)
-    r = sqrt(field, t_mod / (t_mod - one))
-    smooth, n_smooth = _smooth_fibers_sum(field, t_mod, r)
+    sigma, fibers = _fiber_counts(field, t_mod)
     breakdown = {
-        "smooth": smooth,
-        "n_smooth_fibers": n_smooth,
+        "smooth": int(fibers.sum()),
+        "n_smooth_fibers": len(sigma),
         "s=1": 8 * q + 1,
         "s=-1": 8 * q + 1,
         "s=0": 4 * q,
     }
-    total = smooth + 2 * (8 * q + 1) + 4 * q
+    total = breakdown["smooth"] + 2 * (8 * q + 1) + 4 * q
+    # nodal fibers at s = +-r, r^2 = t/(t-1), so r != 0, +-1 and both are in sigma
+    r = sqrt(field, t_mod / (t_mod - one))
     if r is not None:
-        nodal = q + 2 + delta_if_square(-2, field.from_int(-2))
-        breakdown["nodal_pair"] = 2 * nodal
-        total += 2 * nodal
+        nodal = int(fibers[np.searchsorted(sigma, [r.e, (-r).e])].sum())
+        breakdown["smooth"] -= nodal
+        breakdown["n_smooth_fibers"] -= 2
+        breakdown["nodal_pair"] = nodal
     # fiber at infinity: y^2 = x^3 + x^2/4 + x/(64 t)
     from .ecount import WeierstrassCurve, count_points
 
@@ -257,7 +259,7 @@ def _gauss_expression(field, t, cs=None):
     line are cached on the CharacterSystem beside hyperg's weight matrices."""
     if cs is None:
         cs = get_character_system(field)
-    z = _reduce_inverse_argument(field, t)
+    z = 1 / (256 * _t_nonzero(field, t))
     q = field.q
     N = q - 1
     ms = np.arange(N, dtype=np.int64)
@@ -270,7 +272,6 @@ def _gauss_expression(field, t, cs=None):
 
 def verify_bcm_identity(field, t, cs=None):
     """count_affine == (q-1)^3/q + Gauss expression, exactly after certified rounding."""
-    t = Fraction(t)
     q = field.q
     try:
         lhs = count_affine(field, t)
@@ -287,7 +288,6 @@ def verify_bcm_identity(field, t, cs=None):
 
 def verify_point_count_lemma(field, t):
     """|E_t(F_q)| == 22q - 2 + |V_t(F_q)| exactly."""
-    t = Fraction(t)
     q = field.q
     try:
         total, breakdown = count_elliptic_surface(field, t)
@@ -303,14 +303,13 @@ def verify_point_count_lemma(field, t):
 
 def verify_trace_corollary(field, t, cs=None):
     """T == Gauss expression == H3(1/t), all exactly after certified rounding."""
-    t = Fraction(t)
     q = field.q
     try:
         T = trace_transcendental(field, t)
     except BadReductionError as e:
         return CheckReport("trace", q, t, skipped=True, reason=str(e))
     nearest, residual = _gauss_expression(field, t, cs)
-    h3 = hg_H3(field, 1 / t, cs=cs)
+    h3 = hg_H3(field, 1 / _t_mod(field, t), cs=cs)
     return CheckReport(
         "trace", q, t,
         passed=T == nearest == h3,
@@ -320,7 +319,6 @@ def verify_trace_corollary(field, t, cs=None):
 
 def verify_main_identity(field, t, cs=None):
     """q^2 H2(z+-)^2 - q == H3(1 - S^2) for both roots S and both signs."""
-    t = Fraction(t)
     q = field.q
     if math.gcd(q, 6) != 1:
         return CheckReport("main", q, t, skipped=True, reason="gcd(q, 6) != 1")
@@ -395,13 +393,12 @@ def surface_count_report(field, t):
 
     The sum side is q^2 - 3q + 3 + H3(1/t), certified by hg_H3.
     """
-    t = Fraction(t)
     q = field.q
     affine = {}
     if q <= NAIVE_MAX_Q:
         affine["naive"] = count_affine(field, t, "naive")
     affine["solved-z"] = count_affine(field, t, "solved-z")
-    affine["hypergeometric"] = (q * q - 3 * q + 3) + hg_H3(field, 1 / t)
+    affine["hypergeometric"] = (q * q - 3 * q + 3) + hg_H3(field, 1 / _t_mod(field, t))
     surface = breakdown = None
     trans = affine["solved-z"] + 3 * q - 3 - q * q
     agree = len(set(affine.values())) == 1
@@ -424,21 +421,3 @@ def delta_correction(field, t):
     inner = delta_if_square(-4, field.from_int(-2))
     ratio = t_mod / (t_mod - field.one())
     return -2 * q + 4 + delta_if_square(2 * q + 4 + inner, ratio)
-
-
-def count_quadric(field, t):
-    """N(1 = X^2 + t Y^2) by direct enumeration (oracle for q - chi(-t))."""
-    if not isinstance(t, FqElem):
-        t = field.from_rational(Fraction(t))
-    if t.is_zero:
-        return 2 * field.q  # X = +-1, Y free
-    N = field.q - 1
-    i = np.arange(N)
-    # X = g^i, Y = X g^d: X^2 + t Y^2 = g^(2i) (1 + g^(e + 2d)) = g^(2i + Z[e + 2d])
-    zs = field.zech.astype(np.int64)[(t.e + 2 * i) % N]
-    count = 3 + quadratic_character(field, t)  # axes: (+-1, 0), and (0, Y) with Y^2 = 1/t
-    step = max(1, BLOCK_CELLS // N)
-    for s in range(0, N, step):
-        z = zs[s : s + step, None]
-        count += int(((z >= 0) & ((2 * i + z) % N == 0)).sum())
-    return count

@@ -390,6 +390,7 @@ def test_bad_q_is_a_usage_error(argv):
     ["verify", "bcm", "--q", "16777259", "--t", "2"],  # FieldConstructionError
     ["field-info", "--p", "3", "--n", "30"],
     ["hgsum", "--alpha", "1/3", "--beta", "0,0", "--p", "7", "--t", "2"],  # DatumError
+    ["hgsum", "--alpha", "", "--beta", "", "--p", "7", "--t", "2"],  # the empty datum
     ["hgsum", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "0"],  # DomainError
     ["curve", "count", "--p", "7", "--a2", "0", "--a4", "0", "--a6", "0"],  # SingularCurveError
     ["fibration", "profile", "--model", "inose", "--t", "0"],  # FibrationError

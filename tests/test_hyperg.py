@@ -100,6 +100,8 @@ def test_datum_errors():
         datum_from_parameters((F(1, 2), 0), (0, F(1, 4)))
     with pytest.raises(DatumError, match="equal length"):
         datum_from_parameters((F(1, 2),), (0, 0))
+    with pytest.raises(DatumError, match="nonempty"):
+        datum_from_parameters((), ())
 
 
 def s_of(datum, q, m):

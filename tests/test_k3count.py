@@ -1,5 +1,7 @@
 """Surface counting and the point-count/trace/main identity verifiers."""
 
+import hashlib
+import io
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,13 +9,13 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import hgmk3.k3count as k3
+from hgmk3.cli import _field_for, main
 from hgmk3.ffield import field_new, quadratic_character
 from hgmk3.hyperg import IntegrityError, hg_H2
 from hgmk3.k3count import (
     BadReductionError,
     count_affine,
     count_elliptic_surface,
-    count_quadric,
     delta_correction,
     trace_transcendental,
     verify_bcm_identity,
@@ -21,7 +23,6 @@ from hgmk3.k3count import (
     verify_point_count_lemma,
     verify_trace_corollary,
 )
-from hgmk3.cli import _field_for
 
 
 def brute_affine(p, t):
@@ -76,35 +77,67 @@ def test_fft_shift_sums_certify_their_rounding(monkeypatch):
         k3._chi_shift_sums(f, cols, np.ones(N, dtype=np.int64), np.arange(N))
 
 
-@pytest.fixture
-def t_by_code(monkeypatch):
-    """An integer t names the element of F_q with that code, so that every t in
-    F_q^x can be counted on extension fields too (a rational t reduces into F_p)."""
-
-    def t_mod(field, t):
-        return field.from_code(int(t))
-
-    def inverse_argument(field, t):
-        return field.from_rational(F(1, 256)) / t_mod(field, t)
-
-    monkeypatch.setattr(k3, "_t_mod", t_mod)
-    monkeypatch.setattr(k3, "_reduce_inverse_argument", inverse_argument)
-
-
+# every t in F_q^x is passed as an element, so extension fields reach t outside F_p
 @pytest.mark.parametrize("q", [7, 9, 25, 27, 31])
-def test_affine_count_matches_naive_at_every_t(q, t_by_code):
+def test_affine_count_matches_naive_at_every_t(q):
     f = _field_for(q)
     for code in range(1, q):
-        assert count_affine(f, code) == count_affine(f, code, "naive"), (q, code)
+        t = f.from_code(code)
+        assert count_affine(f, t) == count_affine(f, t, "naive"), (q, code)
 
 
 @pytest.mark.parametrize("q", [101, 243, 401])
-def test_point_count_lemma_at_every_t(q, t_by_code):
+def test_point_count_lemma_at_every_t(q):
     f = _field_for(q)
     for code in range(1, q):
-        r = verify_point_count_lemma(f, code)
+        r = verify_point_count_lemma(f, f.from_code(code))
         assert r.skipped == (code == 1), (q, code, r)  # t = 1: bad reduction
         assert r.skipped or (r.passed and r.residual == 0.0), (q, code, r)
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_bcm_and_trace_at_every_element_t(q):
+    f = _field_for(q)
+    for code in range(1, q):
+        t = f.from_code(code)
+        for r in (verify_bcm_identity(f, t), verify_trace_corollary(f, t)):
+            assert r.passed, (q, code, r)
+            assert not r.skipped or (r.check == "trace" and t == f.one()), (q, code, r)
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 25, 27, 101])
+def test_nodal_pair_matches_the_closed_form(q):
+    # the nodal cubics at s = +-r (r^2 = t/(t-1)) have q + 1 - chi(-2) points each
+    f = _field_for(q)
+    closed_form = 2 * (q + 1 - quadratic_character(f, f.from_int(-2)))
+    for code in range(2, q):  # t = 1 has no fibered count
+        t = f.from_code(code)
+        total, bd = count_elliptic_surface(f, t)
+        if quadratic_character(f, t / (t - 1)) == 1:
+            assert bd["nodal_pair"] == closed_form, (q, code)
+            assert bd["n_smooth_fibers"] == q - 5, (q, code)  # s = 0, +-1, +-r excluded
+        else:
+            assert "nodal_pair" not in bd and bd["n_smooth_fibers"] == q - 3, (q, code)
+        assert total == sum(v for k, v in bd.items() if k != "n_smooth_fibers"), (q, code)
+
+
+SURFACE_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (3, 3), (5, 2), (7, 2),
+                  (101, 1), (103, 1), (3, 5), (401, 1), (2003, 1)]
+# t/(t-1) is a square at 4/3, 9/8 and 25/24 (a nodal pair at every p); t = 1 has no
+# fibered count, and 1/3 is a bad reduction at p = 3
+SURFACE_T = ["2", "3", "4/3", "5/2", "-1", "7", "81/256", "-9/16", "10", "9/8", "25/24", "1", "1/3"]
+
+
+def test_count_surface_records_are_pinned():
+    # exit code and stdout of `count surface` at every cell, fibers breakdown included;
+    # recorded when the nodal fibers were counted by their own closed form
+    digest = hashlib.sha256()
+    for p, n in SURFACE_FIELDS:
+        for t in SURFACE_T:
+            buf = io.StringIO()
+            code = main(["count", "surface", "--p", str(p), "--n", str(n), f"--t={t}"], out=buf)
+            digest.update(f"{code}\n{buf.getvalue()}".encode())
+    assert digest.hexdigest() == "dc83635d2e5656504010f854de5547d0d0cf71afc7d0f67775388db64eabd510"
 
 
 def test_affine_count_oracles():
@@ -142,20 +175,14 @@ def test_solved_z_matches_naive_on_extension_fields(p, n):
         assert count_affine(f, t) == count_affine(f, t, "naive"), (f.q, t)
 
 
-@pytest.mark.parametrize("p,n", EXTENSION_FIELDS)
-def test_quadric_formula_on_extension_fields(p, n):
-    f = field_new(p, n)
-    for t in defined_t(f):
-        tm = f.from_rational(t)
-        assert count_quadric(f, t) == f.q - quadratic_character(f, -tm), (f.q, t)
-
-
 def test_affine_bad_reduction_rejected():
     f5 = field_new(5)
     with pytest.raises(BadReductionError):
         count_affine(f5, 5)  # t = 0 mod 5
     with pytest.raises(BadReductionError):
         count_affine(f5, F(1, 5))
+    with pytest.raises(ValueError, match="different fields"):
+        count_affine(f5, field_new(7).from_int(2))
 
 
 def test_surface_count_7_2():
@@ -300,33 +327,6 @@ def test_main_identity_small_grid(q, n):
     for t in (F(2), F(3), F(5, 2), F(-1), F(7), F(81, 256), F(-9, 16), F(10)):
         r = verify_main_identity(f, t)
         assert r.skipped or r.passed, (q, n, t, r)
-
-
-@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
-def test_quadric_count_formula_exhaustive_t(q):
-    # N(1 = X^2 + t Y^2) = q - chi(-t) for t != 0
-    f = field_new(q)
-    for tc in range(1, q):
-        t = f.from_int(tc)
-        chi = 0 if (-t).is_zero else (1 if (-t).e % 2 == 0 else -1)
-        assert count_quadric(f, tc) == q - chi
-
-
-def test_quadric_count_formula_full_q_range():
-    from hgmk3.cli import _field_for, odd_prime_powers
-
-    for q in odd_prime_powers(3, 199):
-        f = _field_for(q)
-        for t in (f.one(), f.from_int(2), f.gen()):  # 1, a generic value, a nonsquare
-            if t.is_zero:
-                continue
-            chi = 0 if (-t).is_zero else (1 if (-t).e % 2 == 0 else -1)
-            assert count_quadric(f, t) == q - chi, (q, t)
-
-
-def test_quadric_hand_value():
-    f5 = field_new(5)
-    assert count_quadric(f5, 1) == 4  # (+-1,0),(0,+-1)
 
 
 @pytest.mark.parametrize("q", [7, 11, 13])
