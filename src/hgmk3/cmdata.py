@@ -176,8 +176,8 @@ def cm_trace_survey(t, p_max):
         if t.numerator % p == 0 or t.denominator % p == 0:
             continue
         field = field_new(p)
-        tm = field.from_rational(t)
-        S = sqrt(field, (tm - field.one()) / tm)
+        tm = field.element(t)
+        S = sqrt(field, (tm - 1) / tm)
         if S is None:
             continue
         e1, _ = e1_e2(tm, S, field)
@@ -185,6 +185,6 @@ def cm_trace_survey(t, p_max):
             p=p,
             T=count_affine(field, tm) + 3 * p - 3 - p * p,
             a_sq=trace(e1) ** 2,
-            kronecker_D=quadratic_character(field, field.from_int(D)),
+            kronecker_D=quadratic_character(field, D),
         ))
     return rows

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import DomainError, FieldSpec, FqElem, factor, quadratic_character
+from .ffield import DomainError, FieldSpec, factor, quadratic_character
 from .hyperg import hg_H2
 
 
@@ -75,24 +75,18 @@ class WeierstrassCurve:
         return y**2 - (x**3 + self.a2 * x**2 + self.a4 * x + self.a6)
 
     def is_singular(self):
-        d = self.discriminant()
-        return d.is_zero if isinstance(d, FqElem) else d == 0
+        return self.discriminant() == 0
 
     def j_invariant(self):
         d = self.discriminant()
-        c4 = self.c4()
-        if self.is_singular():
+        if d == 0:
             raise SingularCurveError(d)
+        c4 = self.c4()
         return c4 * c4 * c4 / d
 
     def reduce(self, field):
         """Reduction of a rational model into F_q."""
-        return WeierstrassCurve(
-            field.from_rational(Fraction(self.a2)),
-            field.from_rational(Fraction(self.a4)),
-            field.from_rational(Fraction(self.a6)),
-            field,
-        )
+        return WeierstrassCurve(*map(field.element, (self.a2, self.a4, self.a6)), field)
 
 
 # Prime fields from this order up are counted by Shanks-Mestre.  Below it the
@@ -248,10 +242,7 @@ def curve_pair(S):
 
 def e1_e2(t, S, field=None):
     """The curve pair over Q (field None) or F_q; S must satisfy S^2 = (t-1)/t there."""
-    def elem(v):  # into the coefficient field: Q when field is None, else F_q
-        if field is None:
-            return Fraction(v)
-        return v if isinstance(v, FqElem) else field.from_rational(Fraction(v))
+    elem = Fraction if field is None else field.element  # into Q or F_q
 
     t, S = elem(t), elem(S)
     if t == 0:
@@ -295,8 +286,7 @@ def verify_curve_trace_theorem(field, a, b, cs=None):
     """
     if math.gcd(field.q, 6) != 1:
         raise DomainError("theorem requires gcd(q, 6) = 1")
-    a = field.from_int(a) if isinstance(a, int) else a
-    b = field.from_int(b) if isinstance(b, int) else b
+    a, b = field.element(a), field.element(b)
     if a.is_zero or b.is_zero:
         raise DomainError("a and b must be nonzero")
     try:
@@ -306,8 +296,7 @@ def verify_curve_trace_theorem(field, a, b, cs=None):
             field.q, a.code, b.code, passed=True, skipped=True,
             reason="singular: 4a^3 = 27b^2",
         )
-    four = field.from_int(4)
-    z = field.from_int(27) * b * b / (four * a * a * a)
+    z = 27 * b * b / (4 * a * a * a)
     h = hg_H2(field, z, cs=cs)
     chi_ab = quadratic_character(field, a / b)
     rhs = field.q + 1 - chi_ab * int(h * field.q)

@@ -12,6 +12,10 @@ an element is the integer c0 + c1*p + ... + c_{n-1}*p^(n-1) of its polynomial
 coordinates.  Prime-field codes are combined as integers mod p; extension-field
 codes through the exp/dlog/zech tables, so no loop runs over the n digits.
 
+`FieldSpec.element` is the one way an int, a Fraction (reduced mod p) or an
+element enters F_q; `FqElem`'s operators, `dlog`, `sqrt` and
+`quadratic_character` call it, so ints and Fractions are operands as they are.
+
 The quadratic character is `quadratic_character`; the absolute trace is the
 table `FieldSpec.trace`.  The package's integer work goes through three helpers
 here: `is_prime`, `factor` (trial division, for the bounded or smooth integers
@@ -412,6 +416,19 @@ class FieldSpec:
         den_inv = pow(r.denominator % self.p, -1, self.p)
         return self.from_code((num * den_inv) % self.p)
 
+    def element(self, value):
+        """An element of this field as it is (one of another field is a ValueError),
+        an int by from_int, a Fraction by from_rational; anything else a TypeError."""
+        if isinstance(value, FqElem):
+            if value.field != self:
+                raise ValueError("elements of different fields")
+            return value
+        if isinstance(value, int):
+            return self.from_int(value)
+        if isinstance(value, Fraction):
+            return self.from_rational(value)
+        raise TypeError(f"cannot coerce {value!r} into {self!r}")
+
     def elements(self):
         """All q elements, zero first then generator powers."""
         yield self.zero()
@@ -473,7 +490,7 @@ class FqElem:
         return poly + [0] * (self.field.n - len(poly))
 
     def __add__(self, other):
-        other = _coerce(self.field, other)
+        other = self.field.element(other)
         if self.e is None:
             return other
         if other.e is None:
@@ -492,13 +509,13 @@ class FqElem:
         return FqElem(self.field, self.e + (self.field.q - 1) // 2)
 
     def __sub__(self, other):
-        return self + (-_coerce(self.field, other))
+        return self + (-self.field.element(other))
 
     def __rsub__(self, other):
-        return _coerce(self.field, other) - self
+        return self.field.element(other) - self
 
     def __mul__(self, other):
-        other = _coerce(self.field, other)
+        other = self.field.element(other)
         if self.e is None or other.e is None:
             return FqElem(self.field, None)
         return FqElem(self.field, self.e + other.e)
@@ -506,7 +523,7 @@ class FqElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(self.field, other)
+        other = self.field.element(other)
         if other.e is None:
             raise DomainError("division by zero")
         if self.e is None:
@@ -514,7 +531,7 @@ class FqElem:
         return FqElem(self.field, self.e - other.e)
 
     def __rtruediv__(self, other):
-        return _coerce(self.field, other) / self
+        return self.field.element(other) / self
 
     def __pow__(self, k):
         if self.e is None:
@@ -525,28 +542,16 @@ class FqElem:
 
     def __eq__(self, other):
         try:
-            other = _coerce(self.field, other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.field == other.field and self.e == other.e
+            other = self.field.element(other)
+        except (TypeError, ValueError, ReductionError):
+            return NotImplemented  # a value that is no element of this field is unequal
+        return self.e == other.e
 
     def __hash__(self):
         return hash((self.field.p, self.field.n, self.e))
 
     def __repr__(self):
         return f"{self.field!r}({self.field.format_element(self)})"
-
-
-def _coerce(field, value):
-    if isinstance(value, FqElem):
-        if value.field != field:
-            raise ValueError("elements of different fields")
-        return value
-    if isinstance(value, int):
-        return field.from_int(value)
-    if isinstance(value, Fraction):
-        return field.from_rational(value)
-    raise TypeError(f"cannot coerce {value!r} into {field!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +565,7 @@ def field_new(p, n=1):
 
 def dlog(field, x):
     """Exponent k with generator^k = x; x must be nonzero."""
-    x = _coerce(field, x)
+    x = field.element(x)
     if x.e is None:
         raise DomainError("dlog of zero")
     return x.e
@@ -568,7 +573,7 @@ def dlog(field, x):
 
 def sqrt(field, x):
     """A square root, choosing the root with the smaller exponent; None if no root."""
-    x = _coerce(field, x)
+    x = field.element(x)
     if x.e is None:
         return field.zero()
     if x.e % 2:
@@ -578,7 +583,7 @@ def sqrt(field, x):
 
 def quadratic_character(field, x):
     """chi(x) in {-1, 0, 1} with chi(0) = 0."""
-    x = _coerce(field, x)
+    x = field.element(x)
     if x.e is None:
         return 0
     return -1 if x.e % 2 else 1

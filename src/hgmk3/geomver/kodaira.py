@@ -247,12 +247,10 @@ def j_match_check(field, t, S):
     sqrt(t(t-1)) is realised as t*S.
     """
     t = Fraction(t)
-    t_mod = field.from_rational(t)
-    e1, e2 = e1_e2(t_mod, S, field)
+    radical = field.element(t) * S
+    e1, e2 = e1_e2(t, S, field)
     pair = j_invariants_pair(t)
-    base = field.from_rational(pair.rational_part)
-    coeff = field.from_rational(pair.radical_coeff)
-    radical = t_mod * S
-    expected = {(base + coeff * radical).code, (base - coeff * radical).code}
+    A, B = pair.rational_part, pair.radical_coeff
+    expected = {(A + B * radical).code, (A - B * radical).code}
     got = {e1.j_invariant().code, e2.j_invariant().code}
     return got == expected

@@ -42,7 +42,7 @@ from functools import cache
 import numpy as np
 
 from .charsum import PrecisionError, get_character_system
-from .ffield import DomainError, FqElem
+from .ffield import DomainError
 
 ROUNDING_THRESHOLD = 1e-3  # absolute
 
@@ -222,20 +222,6 @@ def _weights(datum, cs):
     return W
 
 
-def _reduce_argument(datum, field, t):
-    """eps * M^{-1} * t as a nonzero field element."""
-    if isinstance(t, FqElem):
-        telt = t
-    elif isinstance(t, (int, Fraction)):
-        telt = field.from_rational(Fraction(t))
-    else:
-        raise TypeError(f"cannot interpret argument {t!r}")
-    if telt.is_zero:
-        raise DomainError("hypergeometric argument t = 0")
-    scale = field.from_rational(Fraction(datum.epsilon) / datum.M)
-    return scale * telt
-
-
 def round_certified(value, q):
     """(nearest integer, residual) of a value that must be an integer; PrecisionError
     above ROUNDING_THRESHOLD, or where the float spacing at the value is coarser than
@@ -256,14 +242,18 @@ def round_certified(value, q):
 
 
 def hg_sum(datum, field, t, cs=None):
-    """Evaluate H_q(alpha, beta | t); certify q^(s0-1) * H as an integer."""
+    """Evaluate H_q(alpha, beta | t) at the element field.element(t) != 0; certify
+    q^(s0-1) * H as an integer."""
     if math.gcd(field.q, datum.denominator_lcm) != 1:
         raise DomainError(
             f"q = {field.q} shares a factor with the parameter denominators"
         )
     if cs is None:
         cs = get_character_system(field)
-    z = _reduce_argument(datum, field, t)
+    z = field.element(t)
+    if z.is_zero:
+        raise DomainError("hypergeometric argument t = 0")
+    z = z * datum.epsilon / datum.M
     q = field.q
     W = _weights(datum, cs)
     A, B = W.shape

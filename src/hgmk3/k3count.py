@@ -11,10 +11,10 @@ one circular correlation (`_chi_shift_sums`), taken by a real FFT in
 O(q log q) with its rounding proven exact before use, so every count reaches
 the q <= 2^24 bound.
 
-Counts and checks take t as a rational, reduced mod p, or as an element of F_q;
-`_t_mod` is the one place that reduces it.  `delta_correction` is public API
-that only the tests call: the bookkeeping term tying the smooth-fiber sum to
-the affine count.
+Counts and checks take t as a rational or as an element of F_q; `_t_mod` takes
+it through `FieldSpec.element`.  `delta_correction` is public API that only
+the tests call: the bookkeeping term tying the smooth-fiber sum to the affine
+count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import get_character_system
-from .ffield import FqElem, ReductionError, _coerce, dlog, quadratic_character, sqrt
+from .ffield import FqElem, ReductionError, dlog, quadratic_character, sqrt
 from .hyperg import IntegrityError, hg_H2, hg_H3, round_certified
 
 # Largest q at which surface_count_report also runs the O(q^3) naive count
@@ -39,14 +39,13 @@ class BadReductionError(ReductionError):
 
 
 def _t_mod(field, t):
-    """t as an element of `field`: a rational reduced mod p (an error when p divides
-    its denominator), or an element of this field as it is (one of another field
-    is refused)."""
+    """field.element(t), with a BadReductionError when p divides the denominator of
+    a rational t."""
     if not isinstance(t, FqElem):
         t = Fraction(t)
         if t.denominator % field.p == 0:
             raise BadReductionError(f"denominator of t = {t} divisible by p = {field.p}")
-    return _coerce(field, t)
+    return field.element(t)
 
 
 def _t_nonzero(field, t):
@@ -101,7 +100,7 @@ def count_affine(field, t, mode="solved-z"):
         x = nz[:, None]
         y = nz[None, :]
         xy = field.mul_codes(x, y)
-        w_xy = field.sub_codes(np.int32(field.one().code), field.add_codes(x, y))
+        w_xy = field.sub_codes(np.int32(1), field.add_codes(x, y))
         for zc in range(1, q):
             z = np.int32(zc)
             lhs = field.mul_codes(field.mul_codes(xy, z), field.sub_codes(w_xy, z))
@@ -115,7 +114,7 @@ def count_affine(field, t, mode="solved-z"):
     # chi(w^2 + c) = (-1)^(K+d) chi(1 + g^(2(j + Z[j]) + d - K - 2Z[d])), or (-1)^(K+d) at w = 0.
     N, H = q - 1, (q - 1) // 2
     Z = field.zech.astype(np.int64)
-    K = dlog(field, field.from_int(-4) * a)
+    K = dlog(field, -4 * a)
     j = d = np.delete(np.arange(N), H)  # both skip N/2
     sums = _chi_shift_sums(field, 2 * (j + Z[j]), np.ones_like(j), d - K - 2 * Z[d])
     total = int((1 - 2 * ((K + d) & 1)) @ (sums + 1))
@@ -190,8 +189,8 @@ def _fiber_counts(field, t):
     sigma = np.delete(np.arange(N), [0, H])  # s = g^sigma != 0; s = 1 = g^0, s = -1 = g^H
     # s^2 - 1 = g^mu; a2(s) = (s^2-1)^2 / 4 = g^alpha, a4(s) = s^2 (s^2-1)^3 / (64t) = g^beta
     mu = H + Z[(2 * sigma + H) % N]
-    alpha = 2 * mu - dlog(field, field.from_int(4))
-    beta = 2 * sigma + 3 * mu - dlog(field, field.from_int(64) * t)
+    alpha = 2 * mu - dlog(field, 4)
+    beta = 2 * sigma + 3 * mu - dlog(field, 64 * t)
     # x = g^(alpha + k) (x = 0 adds chi(0) = 0): x + a2 = g^(alpha + Z[k]) and
     # x^2 + a2 x + a4 = g^beta (1 + g^(k + Z[k] + 2 alpha - beta)), or a4 at k = N/2;
     # with chi(x) = (-1)^(alpha + k), sum_x chi(x^3 + a2 x^2 + a4 x) is (-1)^(alpha + beta)
@@ -207,12 +206,11 @@ def _fiber_counts(field, t):
 def count_elliptic_surface(field, t):
     """|E_t(F_q)| with its per-fiber breakdown; requires t(t-1) != 0 mod p."""
     t_mod = _t_nonzero(field, t)
-    if t_mod == field.one():
+    if t_mod == 1:
         raise BadReductionError(
             f"t = {t} reduces to 1 mod {field.p}: fiber configuration unsupported"
         )
     q = field.q
-    one = field.one()
     sigma, fibers = _fiber_counts(field, t_mod)
     breakdown = {
         "smooth": int(fibers.sum()),
@@ -223,7 +221,7 @@ def count_elliptic_surface(field, t):
     }
     total = breakdown["smooth"] + 2 * (8 * q + 1) + 4 * q
     # nodal fibers at s = +-r, r^2 = t/(t-1), so r != 0, +-1 and both are in sigma
-    r = sqrt(field, t_mod / (t_mod - one))
+    r = sqrt(field, t_mod / (t_mod - 1))
     if r is not None:
         nodal = int(fibers[np.searchsorted(sigma, [r.e, (-r).e])].sum())
         breakdown["smooth"] -= nodal
@@ -232,12 +230,7 @@ def count_elliptic_surface(field, t):
     # fiber at infinity: y^2 = x^3 + x^2/4 + x/(64 t)
     from .ecount import WeierstrassCurve, count_points
 
-    inf_curve = WeierstrassCurve(
-        one / field.from_int(4),
-        one / (field.from_int(64) * t_mod),
-        field.zero(),
-        field,
-    )
+    inf_curve = WeierstrassCurve(1 / field.element(4), 1 / (64 * t_mod), field.zero(), field)
     inf_count = count_points(inf_curve)
     breakdown["s=inf"] = inf_count
     total += inf_count
@@ -328,30 +321,29 @@ def verify_main_identity(field, t, cs=None):
         return CheckReport("main", q, t, skipped=True, reason=str(e))
     if t_mod.is_zero:
         return CheckReport("main", q, t, skipped=True, reason="t = 0 mod p")
-    if t_mod == field.one():
+    if t_mod == 1:
         # bad reduction of the projective surface; the trace identification fails here
         return CheckReport("main", q, t, skipped=True, reason="t = 1 mod p")
-    one = field.one()
-    s2 = (t_mod - one) / t_mod
+    s2 = (t_mod - 1) / t_mod
     S0 = sqrt(field, s2)
     if S0 is None:
         return CheckReport("main", q, t, skipped=True, reason="(t-1)/t is not a square")
     roots = [S0, -S0]
-    h3 = hg_H3(field, one / t_mod, cs=cs)  # 1 - S^2 = 1/t for both roots
+    h3 = hg_H3(field, 1 / t_mod, cs=cs)  # 1 - S^2 = 1/t for both roots
     h2_at = {}  # z depends only on sign * S, so two cells share each z
     cells = []
     passed = True
     for S in roots:
         for sign in (+1, -1):
-            num = field.from_int(7) + field.from_int(9 * sign) * S
-            den = field.from_int(5) + field.from_int(3 * sign) * S
+            num = 7 + 9 * sign * S
+            den = 5 + 3 * sign * S
             if den.is_zero:
                 cells.append({"S": S.code, "sign": sign, "skipped": "5+-3S = 0"})
                 continue
             if num.is_zero:
                 cells.append({"S": S.code, "sign": sign, "skipped": "z = 0"})
                 continue
-            z = field.from_int(2) * num * num / (den * den * den)
+            z = 2 * num * num / (den * den * den)
             if z.code not in h2_at:
                 h2_at[z.code] = hg_H2(field, z, cs=cs)
             a = int(h2_at[z.code] * q)
@@ -418,6 +410,6 @@ def delta_correction(field, t):
     """
     t_mod = _t_mod(field, t)
     q = field.q
-    inner = delta_if_square(-4, field.from_int(-2))
-    ratio = t_mod / (t_mod - field.one())
+    inner = delta_if_square(-4, field.element(-2))
+    ratio = t_mod / (t_mod - 1)
     return -2 * q + 4 + delta_if_square(2 * q + 4 + inner, ratio)

@@ -29,6 +29,8 @@ from hgmk3.ffield import (
     quadratic_character,
     sqrt,
 )
+from hgmk3.ecount import e1_e2, verify_curve_trace_theorem
+from hgmk3.hyperg import curve_datum, hg_sum
 
 
 def brute_order(p, g):
@@ -315,3 +317,43 @@ def test_element_text_encoding():
     x = f9.from_coeffs([2, 1])
     assert f9.format_element(x) == "[2,1]"
     assert f9.parse_element("[2,1]") == x
+
+
+def test_equality_with_a_value_outside_the_field_is_false():
+    one = field_new(7).one()
+    assert not one == Fraction(1, 7)  # p divides the denominator: no element of F_7
+    assert one != Fraction(1, 7)
+    assert one == Fraction(8) and one == 8
+    assert one != field_new(11).one() and one != 1.0
+
+
+def _forms(field, n):
+    """n as an int, as a Fraction with denominator 2 and as an element of field."""
+    return n, Fraction(2 * n + field.p, 2), field.element(n)
+
+
+# t with (t-1)/t a square of F_p, so that S is an int too: 3/4 = 3^2 in F_11, 2/3 = 2^2 in F_5
+@pytest.mark.parametrize("p,n,other,t", [(11, 1, (13, 1), 4), (5, 2, (5, 1), 3)])
+def test_every_entry_point_takes_ints_fractions_and_elements(p, n, other, t):
+    """hg_sum, verify_curve_trace_theorem, e1_e2, dlog and quadratic_character reduce
+    their arguments through FieldSpec.element: the three forms of one value agree, an
+    element of another field is a ValueError and a float a TypeError."""
+    f, g = field_new(p, n), field_new(*other)
+    S = sqrt(f, Fraction(t - 1, t)).code
+    assert S < p
+    calls = [
+        (t, lambda x: hg_sum(curve_datum(), f, x)),
+        (2, lambda x: verify_curve_trace_theorem(f, x, 3)),
+        (3, lambda x: verify_curve_trace_theorem(f, 2, x)),
+        (t, lambda x: e1_e2(x, S, f)),
+        (S, lambda x: e1_e2(t, x, f)),
+        (t, lambda x: dlog(f, x)),
+        (t, lambda x: quadratic_character(f, x)),
+    ]
+    for value, call in calls:
+        results = [call(x) for x in _forms(f, value)]
+        assert results[0] == results[1] == results[2]
+        with pytest.raises(ValueError, match="elements of different fields"):
+            call(g.element(value))
+        with pytest.raises(TypeError):
+            call(float(value))
