@@ -14,12 +14,13 @@ table is certified a posteriori: max | |g(m)|^2 - q | must stay within
 1e-6 sqrt(q), or the build raises PrecisionError.  Exactness downstream is
 recovered by integer rounding plus independent point-count oracles.
 
-A table is read through `CharacterSystem.gauss` (index m mod q-1) and
-`omega_vector`, which evaluates exp(2j * pi * r / (q-1)) on demand in that
-operand order, bit-identical to a table of roots (folding 2j * pi / (q-1)
-changes the bits).  `get_character_system` caches the canonical table on its
-field; the keyword-only `twist` (psi(x) = psi_q(a x)), which only the tests
-use to show that sums do not depend on psi, builds uncached tables.
+A table is read through `CharacterSystem.gauss` (index m mod q-1).  Its roots
+of unity come from `zeta` (zeta_{q-1}^r) and `omega_vector` (omega(x)^m), which
+evaluate exp(2j * pi * r / (q-1)) on demand in that operand order,
+bit-identical to a table of roots (folding 2j * pi / (q-1) changes the bits).
+`get_character_system` caches the canonical table on its field; the
+keyword-only `twist` (psi(x) = psi_q(a x)), which only the tests use to show
+that sums do not depend on psi, builds uncached tables.
 """
 
 from __future__ import annotations
@@ -165,9 +166,12 @@ class CharacterSystem:
 
     def omega_vector(self, x, ms):
         """omega(x)^m over an integer array of m values."""
+        return self.zeta(np.asarray(ms, dtype=np.int64) * dlog(self.field, x))
+
+    def zeta(self, r):
+        """zeta_{q-1}^r over an int64 array r."""
         N = self.field.q - 1
-        r = (np.asarray(ms, dtype=np.int64) * dlog(self.field, x)) % N
-        return np.exp(2j * np.pi * r / N)
+        return np.exp(2j * np.pi * (r % N) / N)
 
 
 def get_character_system(field, precision=53):

@@ -14,15 +14,23 @@ D(x) = gcd(prod (x^{p_j}-1), prod (x^{q_k}-1)), listed where nonzero by
     H_q = (-1)^{r+s}/(1-q) * sum_m q^{-s(0)+s(m)}
           prod_j g(p_j m) prod_k g(-q_k m) * omega(eps M^{-1} t)^m.
 
-The weights w(m) depend on the datum and the Gauss table only.  With N = q - 1,
+The weights w(m) depend on the datum and the Gauss table only, and over m the
+sum is a DFT of length N = q - 1 at the frequency k = dlog(eps M^{-1} t).  One
+Cooley-Tukey stage of that DFT is precomputed per datum: with L the largest
+divisor of N not above sqrt(N), R = N/L and m = R l + r,
+
+    sum_m w(m) zeta_N^{km} = sum_r zeta_N^{kr} T[k mod L, r],
+    T[j, r] = sum_l w(R l + r) zeta_L^{jl}.
+
 w(N - m) = conj(w(m)): psi(-x) = conj(psi(x)) and omega(-1) = -1 give
-g(-k) = (-1)^k conj(g(k)), and sum p_j = sum q_k cancels the signs.  So the sum
-over m is 2 Re of a sum over the half line m in [0, N/2], in which the two
-self-paired terms m = 0 and m = N/2 carry w/2, stored as reals.  The half-line
-weights are cached on the CharacterSystem as an A x B matrix W[a, b] = w(a B + b),
-B = ceil(sqrt(N/2 + 1)), zero past m = N/2.  With omega(z)^(a B + b) = u[a] v[b]
-the sum over m is 2 Re(u^T W v): per t one complex matrix-vector product over
-half the line and A + B root-of-unity lookups.
+g(-k) = (-1)^k conj(g(k)), and sum p_j = sum q_k cancels the signs.  So
+T[j, R - r] = zeta_L^{-j} conj(T[j, r]), and for j = k mod L the terms at r and
+R - r are conjugates: the sum over r is 2 Re of a sum over r in [0, R/2], in
+which the self-paired columns r = 0 and (R even) r = R/2 carry T/2.  The cache
+on the CharacterSystem is an L x A x B array T[j, a, b] = T[j, a B + b],
+B = ceil(sqrt(R/2 + 1)), zero past r = R/2.  With zeta_N^{k (a B + b)} = u[a] v[b]
+the sum over m is 2 Re(u^T T[k mod L] v): per t one discrete log, one complex
+matrix-vector product over N/(2L) weights and A + B roots of unity.
 
 Values are certified by rounding: q^{s(0)-1} H_q must lie within an absolute
 threshold of an integer, at a magnitude where the float spacing is finer than
@@ -37,12 +45,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .charsum import PrecisionError, get_character_system
-from .ffield import DomainError
+from .ffield import DomainError, dlog
 
 ROUNDING_THRESHOLD = 1e-3  # absolute
 
@@ -67,7 +75,7 @@ class HGDatum:
     epsilon: int
     d_multiplicities: dict  # d -> multiplicity of primitive d-th roots in D(x)
 
-    @property
+    @cached_property
     def denominator_lcm(self):
         out = 1
         for a in self.alpha + self.beta:
@@ -179,19 +187,23 @@ def _s_support(datum, N):
     return np.array(ms, dtype=np.int64), np.array(s, dtype=np.int64)
 
 
-# m values per fill step: the int64 index and gathered-table temporaries stay near 1.5 MB.
+# m values per fill step, and entries per DFT block: the int64 index, gathered-table
+# and transform temporaries stay near 1.5 MB.
 _FILL_BLOCK = 1 << 16
 
 
 def _weights(datum, cs):
-    """Cached per-(datum, system) A x B matrix W[a, b] = w(a B + b) over the half line
-    m in [0, N/2], zero past N/2.
+    """Cached per-(datum, system) L x A x B array T[j, a, b] = T[j, a B + b] of the
+    module docstring over r in [0, R/2], zero past R/2.
 
-    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), and w(N - m) = conj(w(m)) (see the
-    module docstring), so the other half is never stored.  The self-paired endpoints
-    hold w(0)/2 and w(N/2)/2 as reals, so that 2 Re(u^T W v) is the whole-line sum.
-    The matrix is filled in place, a block of m at a time, and a multiplier repeated
-    in the datum is gathered once per block.
+    Each row l of an L x (A B) array is first filled with w(R l + r),
+    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), in place, a block of contiguous m
+    at a time, and a multiplier repeated in the datum is gathered once per block.  One
+    unnormalised L-point inverse DFT over l, in place a block of columns at a time,
+    turns row l into row j.  T[j, R - r] = zeta_L^{-j} conj(T[j, r]), so the columns
+    past R/2 are never stored; the self-paired columns r = 0 and (R even) r = R/2
+    are halved, so that 2 Re(u^T T[j] v) is the whole-line sum.  At L = 1 (q = 3)
+    T[0] is the half line w(m), m in [0, N/2].
     """
     key = datum.key()
     cached = cs._hg_cache.get(key)
@@ -199,27 +211,36 @@ def _weights(datum, cs):
         return cached
     q = cs.field.q
     N = q - 1
-    H = N // 2 + 1  # m in [0, N/2]; q is odd
+    L = next(d for d in range(math.isqrt(N), 0, -1) if N % d == 0)
+    R = N // L
+    H = R // 2 + 1  # r in [0, R/2]
     B = math.isqrt(H - 1) + 1  # ceil(sqrt(H)); A = ceil(H / B) <= B rows
     A = -(-H // B)
-    W = np.zeros(A * B, dtype=complex)
-    w = W[:H]
+    T = np.zeros((L, A * B), dtype=complex)
+    w = T[:, :H]
     w.fill(float(q) ** -datum.s0())
     ms, s = _s_support(datum, N)
-    half = ms < H
-    w[ms[half]] = np.float_power(float(q), s[half] - datum.s0())
+    ls, rs = np.divmod(ms, R)
+    kept = rs < H
+    w[ls[kept], rs[kept]] = np.float_power(float(q), s[kept] - datum.s0())
     multipliers = Counter(datum.p_list + tuple(-qq for qq in datum.q_list))
-    for start in range(0, H, _FILL_BLOCK):
-        seg = w[start:start + _FILL_BLOCK]
-        m = np.arange(start, start + len(seg), dtype=np.int64)
-        for c, count in multipliers.items():
-            g = cs.gauss[(c * m) % N]
-            for _ in range(count):  # not g**count: same rounding as factor by factor
-                seg *= g
-    w[[0, -1]] = w[[0, -1]].real / 2
-    W = W.reshape(A, B)
-    cs._hg_cache[key] = W
-    return W
+    for l in range(L):
+        for start in range(0, H, _FILL_BLOCK):
+            seg = w[l, start:start + _FILL_BLOCK]
+            m = np.arange(R * l + start, R * l + start + len(seg), dtype=np.int64)
+            for c, count in multipliers.items():
+                g = cs.gauss[(c * m) % N]
+                for _ in range(count):  # not g**count: same rounding as factor by factor
+                    seg *= g
+    # norm="forward" leaves the inverse transform unscaled: sum_l T[l] zeta_L^{jl}
+    cols = max(1, _FILL_BLOCK // L)
+    for start in range(0, H, cols):
+        block = w[:, start:start + cols]
+        np.fft.ifft(block, axis=0, norm="forward", out=block)
+    w[:, [0, R // 2] if R % 2 == 0 else [0]] /= 2
+    T = T.reshape(L, A, B)
+    cs._hg_cache[key] = T
+    return T
 
 
 def round_certified(value, q):
@@ -253,14 +274,14 @@ def hg_sum(datum, field, t, cs=None):
     z = field.element(t)
     if z.is_zero:
         raise DomainError("hypergeometric argument t = 0")
-    z = z * datum.epsilon / datum.M
+    k = dlog(field, z * datum.epsilon / datum.M)
     q = field.q
-    W = _weights(datum, cs)
-    A, B = W.shape
-    # sum_m w(m) omega(z)^m = 2 Re(u^T W v) with v[b] = omega(z)^b, u[a] = omega(z)^(a B)
-    v = cs.omega_vector(z, np.arange(B))
-    u = cs.omega_vector(z, np.arange(0, A * B, B))
-    value = complex(2 * (u @ (W @ v)).real * (
+    T = _weights(datum, cs)
+    L, A, B = T.shape
+    # sum_m w(m) zeta^{km} = 2 Re(u^T T[k mod L] v), v[b] = zeta^{kb}, u[a] = zeta^{kaB}
+    v = cs.zeta(np.arange(B, dtype=np.int64) * k)
+    u = cs.zeta(np.arange(0, A * B, B, dtype=np.int64) * k)
+    value = complex(2 * (u @ (T[k % L] @ v)).real * (
         (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
     ))
     denom = q ** (datum.s0() - 1)

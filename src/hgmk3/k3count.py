@@ -11,8 +11,8 @@ one circular correlation (`_chi_shift_sums`), taken by a real FFT in
 O(q log q) with its rounding proven exact before use, so every count reaches
 the q <= 2^24 bound.
 
-Counts and checks take t as a rational or as an element of F_q; `_t_mod` takes
-it through `FieldSpec.element`.  `delta_correction` is public API that only
+Counts and checks take t as an int, a Fraction or an element of F_q, as
+`FieldSpec.element` does; `_t_mod` takes it through that method.  `delta_correction` is public API that only
 the tests call: the bookkeeping term tying the smooth-fiber sum to the affine
 count.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import get_character_system
-from .ffield import FqElem, ReductionError, dlog, quadratic_character, sqrt
+from .ffield import ReductionError, dlog, quadratic_character, sqrt
 from .hyperg import IntegrityError, hg_H2, hg_H3, round_certified
 
 # Largest q at which surface_count_report also runs the O(q^3) naive count
@@ -39,12 +39,11 @@ class BadReductionError(ReductionError):
 
 
 def _t_mod(field, t):
-    """field.element(t), with a BadReductionError when p divides the denominator of
-    a rational t."""
-    if not isinstance(t, FqElem):
-        t = Fraction(t)
-        if t.denominator % field.p == 0:
-            raise BadReductionError(f"denominator of t = {t} divisible by p = {field.p}")
+    """field.element(t) of an int, a Fraction or an element (anything else is a
+    TypeError), with a BadReductionError when p divides the denominator of a
+    Fraction t."""
+    if isinstance(t, Fraction) and t.denominator % field.p == 0:
+        raise BadReductionError(f"denominator of t = {t} divisible by p = {field.p}")
     return field.element(t)
 
 
@@ -249,7 +248,7 @@ def trace_transcendental(field, t):
 def _gauss_expression(field, t, cs=None):
     """-1/q + 1/(q(q-1)) sum_m g(4m) g(-m)^4 omega(1/(256t))^m as (nearest, residual),
     certified by hyperg.round_certified.  The weights g(4m) g(-m)^4 over the whole
-    line are cached on the CharacterSystem beside hyperg's weight matrices."""
+    line are cached on the CharacterSystem beside hyperg's weight arrays."""
     if cs is None:
         cs = get_character_system(field)
     z = 1 / (256 * _t_nonzero(field, t))

@@ -147,7 +147,7 @@ def test_reflection_identity(p, n):
 )
 def test_conjugate_symmetry(p, n, twist):
     # g(-k) = omega^k(-1) conj(g(k)) = (-1)^k conj(g(k)), on both paths and for a
-    # twisted psi; the half-line sums of hyperg rest on it
+    # twisted psi; the paired sums of hyperg rest on it
     f = field_new(p, n)
     cs = CharacterSystem(f, twist=twist)
     N = f.q - 1

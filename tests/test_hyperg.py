@@ -276,7 +276,7 @@ def test_rounding_failure_raises_without_retry(monkeypatch):
     cs = CharacterSystem(f)
     before = hg_sum(main_datum(), f, f.from_int(4), cs=cs)
     assert before.rounded == -3
-    # the half line m in [0, 3] reads g at 4m and -m mod 6, {0, 2, 3, 4, 5}: never g(1)
+    # L = 2, R = 3: m = 3 l + r, r in [0, 1], reads g at 4m and -m mod 6, {0, 2, 3, 4, 5}: never g(1)
     cs.gauss[1] += 0.5
     cs._hg_cache.clear()
     assert hg_sum(main_datum(), f, f.from_int(4), cs=cs).value == before.value
@@ -330,8 +330,9 @@ def gcd_s_of_m(datum, q):
     return out
 
 
-def flat_hg_sum(datum, field, t_elem):
-    """The sum as one flat dot product of the weight vector with omega(z)^m."""
+def whole_line_weights(datum, field):
+    """(-1)^{r+s}/(1-q) w(m) over the whole line m in [0, q-2], from the Gauss table
+    alone: no weight cache, no pairing of m with q-1-m."""
     cs = get_character_system(field)
     q = field.q
     N = q - 1
@@ -341,10 +342,21 @@ def flat_hg_sum(datum, field, t_elem):
         w *= cs.gauss[(p * ms) % N]
     for qq in datum.q_list:
         w *= cs.gauss[(-qq * ms) % N]
+    return w * (-1) ** (len(datum.p_list) + len(datum.q_list)) / (1 - q)
+
+
+def whole_line_terms(weights, datum, field, t_elem):
+    """The terms of the sum at t: the weights times omega(eps t / M)^m."""
     z = field.from_rational(F(datum.epsilon) / datum.M) * t_elem
-    sign = (-1) ** (len(datum.p_list) + len(datum.q_list))
-    value = complex(np.dot(w, cs.omega_vector(z, ms))) * sign / (1 - q)
-    denom = q ** (datum.s0() - 1)
+    cs = get_character_system(field)
+    return weights * cs.omega_vector(z, np.arange(field.q - 1, dtype=np.int64))
+
+
+def flat_hg_sum(datum, field, t_elem):
+    """The sum as one flat sum of the whole-line terms."""
+    terms = whole_line_terms(whole_line_weights(datum, field), datum, field, t_elem)
+    value = complex(terms.sum())
+    denom = field.q ** (datum.s0() - 1)
     return value, F(round((value * denom).real), denom)
 
 
@@ -370,27 +382,65 @@ def test_s_of_m_matches_gcd_formula(p, n):
         assert np.array_equal(s_of_m, gcd_s_of_m(datum, q))
 
 
+def stage_length(N):
+    """L: the largest divisor of N not above sqrt(N)."""
+    return max(d for d in range(1, math.isqrt(N) + 1) if N % d == 0)
+
+
 @pytest.mark.parametrize("p,n", BLOCKED_FIELDS)
 def test_weight_cache_holds_one_padded_matrix_per_datum(p, n):
     f = field_new(p, n)
     cs = CharacterSystem(f)
     N = f.q - 1
+    L = stage_length(N)
+    H = N // L // 2 + 1  # the columns r in [0, R/2]
     data = _data_for(f.q)
     lookups = []
-    omega_vector = cs.omega_vector
-    cs.omega_vector = lambda x, ms: (lookups.append(len(ms)), omega_vector(x, ms))[1]
+    zeta = cs.zeta
+    cs.zeta = lambda r: (lookups.append(len(r)), zeta(r))[1]
     for datum in data:
         for t in (1, 2, 1):
             hg_sum(datum, f, f.from_int(t), cs=cs)
     assert len(cs._hg_cache) == len(data)
     for datum in data:
-        W = cs._hg_cache[datum.key()]
-        A, B = W.shape
-        H = N // 2 + 1  # the half line m in [0, N/2]
+        T = cs._hg_cache[datum.key()]
+        assert T.shape[0] == L
+        _, A, B = T.shape
         assert A * B >= H and A * B - H < B and A <= B
-        assert not W.reshape(-1)[H:].any()
+        assert not T.reshape(L, -1)[:, H:].any()
     # per t: A + B roots of unity, not q - 1
     assert lookups and max(lookups) <= B
+
+
+# the paper's two data and two more of degree 2 and 3; with DEGREE_FOUR they
+# cover s0 = 0, 1, 2 and sign epsilon = +-1
+CENSUS = [
+    main_datum(),
+    curve_datum(),
+    datum_from_parameters((F(1, 3), F(2, 3)), (0, 0)),
+    datum_from_parameters((F(1, 2),) * 3, (F(1, 4), F(3, 4), 0)),
+]
+
+
+# L = 1 at q = 3; R = N/L odd at 7 (L = 2), 7^3 (L = 18) and 2003 (L = 26);
+# R even at 9 (L = 2), 13 (L = 3) and 3^5 (L = 11)
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (13, 1), (3, 5), (7, 3), (2003, 1)])
+def test_one_stage_sum_matches_whole_line_oracle(p, n, monkeypatch):
+    import hgmk3.hyperg as hyperg
+
+    # every cell, certified or not: the oracle checks the sum, not its rounding
+    monkeypatch.setattr(hyperg, "round_certified", lambda value, q: (0, 0.0))
+    f = field_new(p, n)
+    data = [d for d in CENSUS + [DEGREE_FOUR] if math.gcd(f.q, d.denominator_lcm) == 1]
+    assert data
+    for datum in data:
+        weights = whole_line_weights(datum, f)
+        for e in range(f.q - 1):
+            t = FqElem(f, e)
+            terms = whole_line_terms(weights, datum, f, t)
+            got = hg_sum(datum, f, t).value
+            # relative to the sum of |terms|, the scale of the float error of either side
+            assert abs(got - terms.sum()) <= 1e-9 * np.abs(terms).sum()
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (11, 1), (101, 1), (7, 3)])

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import hgmk3.k3count as k3
 from hgmk3.cli import _field_for, main
 from hgmk3.ffield import field_new, quadratic_character
-from hgmk3.hyperg import IntegrityError, hg_H2
+from hgmk3.hyperg import IntegrityError, hg_H2, hg_H3
 from hgmk3.k3count import (
     BadReductionError,
     count_affine,
@@ -183,6 +183,16 @@ def test_affine_bad_reduction_rejected():
         count_affine(f5, F(1, 5))
     with pytest.raises(ValueError, match="different fields"):
         count_affine(f5, field_new(7).from_int(2))
+
+
+@pytest.mark.parametrize("t", [0.5, "1/2"])
+def test_t_is_an_int_a_fraction_or_an_element(t):
+    # the boundary of FieldSpec.element and hg_H3: a float or a string is no t
+    f7 = field_new(7)
+    with pytest.raises(TypeError):
+        count_affine(f7, t)
+    with pytest.raises(TypeError):
+        hg_H3(f7, t)
 
 
 def test_surface_count_7_2():
@@ -363,7 +373,7 @@ def test_surface_count_report_certifies_the_sum_side():
 
     f = field_new(7)
     cs = get_character_system(f)
-    cs.gauss[5] += 0.5  # g(N - 1): the half-line sum never reads g(1)
+    cs.gauss[5] += 0.5  # g(N - 1): the sum at q = 7 never reads g(1)
     with pytest.raises(PrecisionError):
         surface_count_report(f, F(2))
 
