@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .ffield import Q_MAX, factor, field_new, prime_power
 from .k3count import CheckReport
@@ -410,7 +411,9 @@ def _add_sampler_args(p):
     p.add_argument("--seed", type=int, default=20259)
 
 
+@cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later one."""
     from .geomver.kodaira import MODELS
 
     top = argparse.ArgumentParser(prog="hgmk3", description=__doc__)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
-from sympy import Poly, Symbol
+from sympy import QQ, ring
 
 from .ffield import Q_MAX, DomainError, FieldConstructionError, factor, is_prime
 from .geomver import j_invariants_pair, j_pair_coefficients
@@ -130,14 +130,19 @@ def verify_classification_consistency():
     """No t != 0 outside S1 has one of the thirteen rational CM j in its pair.
 
     The pair of t is {A +- B sqrt(t(t-1))} (`j_pair_coefficients`), so j is in it
-    iff (j - A)^2 = B^2 t(t-1): a cubic in t, whose rational roots are all found.
+    iff (j - A)^2 = B^2 t(t-1): a cubic in QQ[t], whose rational roots, read off
+    its linear factors, are all found.
     """
-    t = Poly(Symbol("t"))
+    _, t = ring("t", QQ)
     A, B = j_pair_coefficients(t)
     s1 = set(s1_values())
     for j in rational_cm_j_list():
-        for root in ((j - A) ** 2 - B**2 * t * (t - 1)).ground_roots():
-            r = Fraction(int(root.p), int(root.q))
+        _, factors = ((j - A) ** 2 - B**2 * t * (t - 1)).factor_list()
+        for f, _ in factors:
+            if f.degree() != 1:
+                continue
+            root = -f.monic().coeff(1)
+            r = Fraction(int(root.numerator), int(root.denominator))
             if r != 0 and r not in s1:
                 return CheckReport("cm-consistency", t=r, passed=False, detail={"j": j})
     return CheckReport("cm-consistency")

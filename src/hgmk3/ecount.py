@@ -41,8 +41,8 @@ class WeierstrassCurve:
     """y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q (FqElem) or exact rationals.
 
     The invariants (b_invariants, c4, c6, discriminant) use ring operations
-    only, so geomver also builds curves on sympy `Poly`s and rational-function
-    field elements to get them.
+    only, so geomver also builds curves on elements of sympy's QQ[s] and of
+    its rational-function fields to get them.
     """
 
     a2: object

@@ -469,7 +469,14 @@ class FieldSpec:
 
 
 class FqElem:
-    """A field element: the zero marker or an exponent of the fixed generator."""
+    """A field element: the zero marker or an exponent of the fixed generator.
+
+    An element equals every int, Fraction or element that `FieldSpec.element`
+    takes to it, but hashes by (p, n, exponent) alone: one == 1 and one == 8
+    in F_7 while hash(1) != hash(8), so no hash can agree with both.  A set or
+    dict keyed by elements therefore misses an int key (`1 in {one}` is False):
+    probe it with elements, or key it by `code`.
+    """
 
     __slots__ = ("field", "e")
 

@@ -1,12 +1,13 @@
 """Kodaira-type diagnostics for the elliptic fibrations and the j-invariant pair.
 
 For a fixed rational parameter each model's c4, c6, discriminant are exact
-univariate polynomials over Q: the Weierstrass coefficients of the curves in
-`maps.FIBRATIONS` (the ones the map catalog lands on) become `Poly`s over QQ
-and the generic `WeierstrassCurve` arithmetic runs on them (`xslice` builds
-its quartic and I, J in a polynomial ring).
-The discriminant's irreducible factors, from `Poly.factor_list`, name the
-places; vanishing orders there (with the degree-weighted flip at infinity:
+univariate polynomials in QQ[s]: the curves in `maps.FIBRATIONS` (the ones
+the map catalog lands on) are built over the rational-function field QQ(s),
+each Weierstrass coefficient is taken to its numerator over a constant
+denominator, and the generic `WeierstrassCurve` arithmetic runs on those
+ring elements (`xslice` builds its quartic and I, J in QQ[s][sigma]).
+The discriminant's irreducible factors, from the ring's `factor_list`, name
+the places; vanishing orders there (with the degree-weighted flip at infinity:
 c4, c6, delta are sections of degree 8, 12, 24 on a K3) feed the standard
 order table.  Orders are reduced by (4, 6, 12) whenever the local model is
 non-minimal.
@@ -21,11 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.fields import field
 
 from ..ecount import WeierstrassCurve, e1_e2
 from .maps import FIBRATIONS
 
-_s = sp.symbols("s")
+# QQ(s), the field the fibrations are built over; its ring QQ[s] holds the profiles
+_K, _s = field("s", QQ)
 
 
 class FibrationError(ValueError):
@@ -60,30 +64,40 @@ class FibrationProfile:
 
 
 def _weierstrass_polys(model, t):
-    """c4, c6 and the discriminant of the model at t, as Polys in s over QQ."""
+    """c4, c6 and the discriminant of the model at t, as elements of QQ[s]."""
     if model == "xslice":
         coeffs = _model_xslice(t)
     else:
         curve = FIBRATIONS[model](t, _s)
-        coeffs = (curve.a2, curve.a4, curve.a6)
-    if model == "inose":
-        # the u-line model has a 1/u term: X -> X/u^2, Y -> Y/u^3 clears it
-        coeffs = [c * _s**i for c, i in zip(coeffs, (2, 4, 6))]
-    curve = WeierstrassCurve(*(sp.Poly(c, _s, domain="QQ") for c in coeffs))
+        coeffs = [_K(c) for c in (curve.a2, curve.a4, curve.a6)]
+        if model == "inose":
+            # the u-line model has a 1/u term: X -> X/u^2, Y -> Y/u^3 clears it
+            coeffs = [c * _s**i for c, i in zip(coeffs, (2, 4, 6))]
+        coeffs = [_polynomial(c) for c in coeffs]
+    curve = WeierstrassCurve(*coeffs)
     return curve.c4(), curve.c6(), curve.discriminant()
+
+
+def _polynomial(c):
+    """The element c of QQ(s) as an element of QQ[s]; a non-constant denominator
+    is a FibrationError."""
+    if not c.denom.is_ground:
+        raise FibrationError(f"coefficient {c.as_expr()} is not a polynomial in s")
+    return c.numer.quo_ground(c.denom.LC)
 
 
 def _model_xslice(t):
     # the surface sliced by its first affine coordinate: a genus-1 quartic in the
     # remaining variables; profile its Jacobian via the classical I, J invariants
     a = 1 / (256 * t)
-    ring_s, s = sp.ring([_s], sp.QQ)
+    ring_s = _K.ring
+    s = ring_s.gens[0]
     _, sig = sp.ring("_sig", ring_s)
     quartic = s**2 * (1 - sig) ** 2 * (sig - s) ** 2 - 4 * a * s * (sig - s)
     e4, e3, e2, e1, e0 = (quartic.coeff(sig**k) for k in range(4, -1, -1))
     I = 12 * e4 * e0 - 3 * e3 * e1 + e2**2
     J = 72 * e4 * e2 * e0 - 27 * e4 * e1**2 - 27 * e3**2 * e0 + 9 * e3 * e2 * e1 - 2 * e2**3
-    return sp.Integer(0), *(sp.Poly.from_dict(-27 * c, _s, domain="QQ") for c in (I, J))
+    return ring_s.zero, -27 * I, -27 * J
 
 
 # the `fibration profile --model` names: the four Weierstrass fibrations and the slice
@@ -168,7 +182,7 @@ def kodaira_profile(model, t):
     for fpoly, mult in sorted(factors, key=lambda fm: str(fm[0].as_expr())):
         fpoly = fpoly.monic()
         if fpoly.degree() == 1:
-            label = f"s={-fpoly.all_coeffs()[1]}"
+            label = f"s={-fpoly.coeff(1)}"
         else:
             label = f"s^{fpoly.degree()}[{fpoly.as_expr()}]"
         # the factor's multiplicity is the discriminant's order there
@@ -227,7 +241,7 @@ class JPair:
 
 def j_pair_coefficients(t):
     """(A, B) with the j-pair of t equal to {A +- B sqrt(t(t-1))}, in t's own ring
-    (a Fraction, a sympy expression, a Poly or a sympy rational-function field element)."""
+    (a Fraction, an element of sympy's QQ[t] or of a sympy rational-function field)."""
     return 64 * (512 * t * t - 414 * t + 27), 128 * (256 * t - 81)
 
 

@@ -214,6 +214,16 @@ def test_verify_si_params_and_x0_2():
     assert code == 0
 
 
+def test_one_parser_serves_every_call():
+    # the parser is built once per process; a verb run after another prints what it printed first
+    first = run(["fibration", "profile", "--model", "xslice", "--t", "2"])
+    second = run(["lattice", "ns-generic"])
+    assert first[0] == second[0] == 0
+    assert run(["fibration", "profile", "--model", "xslice", "--t", "2"]) == first
+    assert run(["lattice", "ns-generic"]) == second
+    assert build_parser() is build_parser()
+
+
 def test_verify_qt():
     code, out = run(["verify", "qt", "--trials", "4"])
     assert code == 0

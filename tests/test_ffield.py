@@ -327,6 +327,16 @@ def test_equality_with_a_value_outside_the_field_is_false():
     assert one != field_new(11).one() and one != 1.0
 
 
+def test_elements_hash_apart_from_the_ints_they_equal():
+    # the documented FqElem caveat: equal elements hash alike, an equal int need not
+    f = field_new(7)
+    one = f.one()
+    assert one == 1 and one == 8 and hash(one) == hash(f.element(8))
+    assert 1 not in {one} and {one: "x"}.get(1) is None
+    assert f.element(8) in {one} and {one: "x"}[f.element(1)] == "x"
+    assert {one.code: "x"}[f.element(8).code] == "x"
+
+
 def _forms(field, n):
     """n as an int, as a Fraction with denominator 2 and as an element of field."""
     return n, Fraction(2 * n + field.p, 2), field.element(n)

@@ -543,6 +543,12 @@ def test_profile_errors():
         kodaira_profile("nope", 2)
     with pytest.raises(FibrationError):
         kodaira_profile("family19", 0)
+    # a Weierstrass coefficient with a pole in s has no place in QQ[s]
+    from hgmk3.geomver.kodaira import _polynomial, _s
+
+    assert _polynomial((_s**2 - 1) / 4) == (_s.numer**2 - 1).quo_ground(4)
+    with pytest.raises(FibrationError, match="not a polynomial"):
+        _polynomial(8 / _s)
 
 
 def test_expected_types_cover_every_model():
