@@ -11,7 +11,9 @@ source: one assignment per distinct subtree (sympy nodes hash structurally,
 so the memo of the walk is the common-subexpression elimination), every
 value reduced into [0, p).  The same walk tracks the degree of the numerator
 that `sympy.together` would build, which `maps.RationalMap.degree_bound`
-reads.
+reads.  A constraint is compiled once per solved variable, into one function
+that returns its values at var = 0, 1 and -1 (all `solve_step` reads):
+the subtrees without the variable are evaluated once for the three.
 """
 
 from __future__ import annotations
@@ -45,12 +47,17 @@ class _Compiler:
     takes the lcm of its terms' denominators, as `sympy.together` does, Mul
     multiplies, and a negative power moves its base's numerator into the
     denominator.
+
+    Given a symbol `var`, the walk also marks the nodes that contain it: such
+    a node gets three locals, its values at var = 0, 1 and -1, and every other
+    node one, computed once for all three.
     """
 
-    def __init__(self):
+    def __init__(self, var=None):
+        self.var = var
         self.lines = []
         self.globals = {"_Degenerate": SampleDegenerateError}
-        self.memo = {}  # node -> (local name, degree)
+        self.memo = {}  # node -> (local name, contains var, degree)
 
     def visit(self, node):
         hit = self.memo.get(node)
@@ -60,63 +67,95 @@ class _Compiler:
         return hit
 
     def _den_degree(self, den):
-        return sum(e * self.memo[base][1][0] for base, e in den.items())
+        return sum(e * self.memo[base][2][0] for base, e in den.items())
+
+    @staticmethod
+    def _copies(name, args):
+        """[(local, argument locals)]: one, or one per value of var when an argument contains it."""
+        if not any(dep for _, dep, _ in args):
+            return [(name, [a for a, _, _ in args])]
+        return [(f"{name}_{i}", [f"{a}_{i}" if dep else a for a, dep, _ in args])
+                for i in range(3)]
 
     def _emit(self, node, name):
         emit = self.lines.append
         if node.is_Integer:
             emit(f"{name} = {int(node)} % p")
-            return name, (0, Counter())
+            return name, False, (0, Counter())
         if node.is_Rational:
             emit(f"{name} = {int(node.q)} % p")
             emit(f"if not {name}: raise _Degenerate("
                  "'rational coefficient with vanishing denominator')")
             emit(f"{name} = {int(node.p)} * pow({name}, -1, p) % p")
-            return name, (0, Counter())
+            return name, False, (0, Counter())
         if node.is_Symbol:
+            if node == self.var:
+                emit(f"{name}_0, {name}_1, {name}_2 = 0, 1, p - 1")
+                return name, True, (1, Counter())
             sym = f"_s{len(self.globals)}"
             self.globals[sym] = node
             emit(f"{name} = values[{sym}] % p")
-            return name, (1, Counter())
+            return name, False, (1, Counter())
         if node.is_Add:
             args = [self.visit(a) for a in node.args]
-            emit(f"{name} = ({' + '.join(a for a, _ in args)}) % p")
+            copies = self._copies(name, args)
+            for local, terms in copies:
+                emit(f"{local} = ({' + '.join(terms)}) % p")
             den = Counter()
-            for _, (_, d) in args:
+            for _, _, (_, d) in args:
                 den |= d  # the lcm: each base at its largest exponent
             lcm = self._den_degree(den)
-            return name, (max(n + lcm - self._den_degree(d) for _, (n, d) in args), den)
+            degree = max(n + lcm - self._den_degree(d) for _, _, (n, d) in args)
+            return name, len(copies) > 1, (degree, den)
         if node.is_Mul:
-            (first, _), *rest = args = [self.visit(a) for a in node.args]
-            emit(f"{name} = {first}" + "".join(f" * {a} % p" for a, _ in rest))
+            args = [self.visit(a) for a in node.args]
+            copies = self._copies(name, args)
+            for local, (first, *rest) in copies:
+                emit(f"{local} = {first}" + "".join(f" * {a} % p" for a in rest))
             den = Counter()
-            for _, (_, d) in args:
+            for _, _, (_, d) in args:
                 den.update(d)
-            return name, (sum(n for _, (n, _) in args), den)
+            return name, len(copies) > 1, (sum(n for _, _, (n, _) in args), den)
         if node.is_Pow:
             base, e = node.args
             if not e.is_Integer:
                 raise ValueError(f"non-integer exponent in {node}")
             e = int(e)
-            b, (num, den) = self.visit(base)
+            arg = self.visit(base)
+            _, dep, (num, den) = arg
+            for local, (b,) in self._copies(name, [arg]):
+                if e < 0:
+                    emit(f"if not {b}: raise _Degenerate('division by zero')")
+                emit(f"{local} = pow({b}, {e}, p)")
             if e > 0:
-                emit(f"{name} = pow({b}, {e}, p)")
-                return name, (e * num, Counter({k: e * v for k, v in den.items()}))
-            emit(f"if not {b}: raise _Degenerate('division by zero')")
-            emit(f"{name} = pow({b}, {e}, p)")
-            return name, (-e * self._den_degree(den), Counter({base: -e}))
+                return name, dep, (e * num, Counter({k: e * v for k, v in den.items()}))
+            return name, dep, (-e * self._den_degree(den), Counter({base: -e}))
         raise ValueError(f"unsupported expression node {node.func}")
 
 
 @cache
-def _compiled(expr):
-    """(function(values, p), numerator degree) for one expression, built on first use."""
-    c = _Compiler()
-    result, (degree, _) = c.visit(expr)
+def _compiled(expr, var):
+    """(function(values, p), numerator degree) for one expression, built on first use.
+
+    Given a symbol var (not None), the function returns the expression's values
+    at var = 0, 1 and -1.
+    """
+    c = _Compiler(var)
+    result, dep, (degree, _) = c.visit(expr)
+    if var is not None:
+        result = ", ".join(f"{result}_{i}" if dep else result for i in range(3))
     body = "".join(f"    {line}\n" for line in c.lines)
     exec(compile(f"def evaluate(values, p):\n{body}    return {result}\n", "<eval_mod>", "exec"),
          c.globals)
     return c.globals["evaluate"], degree
+
+
+def _evaluate(expr, values, p, var=None):
+    """The compiled function of (expr, var) at values mod p; KeyError names an unbound symbol."""
+    try:
+        return _compiled(expr, var)[0](values, p)
+    except KeyError as e:
+        raise KeyError(f"unbound symbol {e.args[0]}") from None
 
 
 def eval_mod(expr, values, p):
@@ -127,15 +166,12 @@ def eval_mod(expr, values, p):
     non-integer exponent or a node other than a number, symbol, sum, product
     or power.
     """
-    try:
-        return _compiled(expr)[0](values, p)
-    except KeyError as e:
-        raise KeyError(f"unbound symbol {e.args[0]}") from None
+    return _evaluate(expr, values, p)
 
 
 def together_degree(expr):
     """Total degree of the numerator `sympy.together(expr)` builds, before cancellation."""
-    return _compiled(expr)[1]
+    return _compiled(expr, None)[1]
 
 
 def sqrt_mod(a, p):
@@ -154,7 +190,7 @@ def solve_step(eq, var, values, p, rng):
     linear constraint draws nothing from the rng.  Raises
     SampleDegenerateError when a denominator vanishes or no root exists mod p.
     """
-    c, plus, minus = (eval_mod(eq, values | {var: v}, p) for v in (0, 1, -1))
+    c, plus, minus = _evaluate(eq, values, p, var)
     half = (p + 1) // 2  # 1/2 mod p
     a = ((plus + minus) * half - c) % p
     b = (plus - minus) * half % p

@@ -3,6 +3,8 @@ trace, Frobenius."""
 
 import ast
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -21,6 +23,8 @@ from hgmk3.ffield import (
     _is_irreducible,
     _poly_mul_mod,
     _poly_trim,
+    _strong_base2,
+    _strong_lucas,
     dlog,
     factor,
     field_new,
@@ -83,6 +87,65 @@ def test_is_prime_agrees_with_sympy_below_1e5():
     assert [n for n in range(-3, 10**5) if is_prime(n)] == [
         n for n in range(-3, 10**5) if isprime(n)
     ]
+
+
+def test_is_prime_agrees_with_sympy_on_62_bit_odd_n():
+    # the width of the Schwartz-Zippel primes (geomver.modeval.PRIME_BITS)
+    rng = random.Random(62)
+    odd = [rng.getrandbits(62) | (1 << 61) | 1 for _ in range(20000)]
+    primes = [n for n in odd if isprime(n)]
+    assert [n for n in odd if is_prime(n)] == primes and len(primes) > 500
+
+
+# strong pseudoprimes to base 2; of these only 3825123056546413051
+# = 149491 * 747451 * 34233211 has no factor below 1024, so inside is_prime it
+# alone reaches the Lucas test
+STRONG_BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 3215031751, 3825123056546413051)
+# the strong Lucas pseudoprimes for Selfridge's parameters below 60000
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519)
+
+
+@pytest.mark.parametrize("n", STRONG_BASE2_PSEUDOPRIMES)
+def test_lucas_half_rejects_strong_base2_pseudoprimes(n):
+    assert _strong_base2(n) and not _strong_lucas(n) and not is_prime(n)
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+def test_base2_half_rejects_strong_lucas_pseudoprimes(n):
+    assert _strong_lucas(n) and not _strong_base2(n) and not is_prime(n)
+
+
+def test_each_half_passes_every_odd_prime_and_only_its_pseudoprimes():
+    odd = range(3, 60000, 2)
+    assert all(_strong_base2(n) and _strong_lucas(n) for n in odd if isprime(n))
+    assert [n for n in odd if _strong_lucas(n) and not isprime(n)] == list(STRONG_LUCAS_PSEUDOPRIMES)
+    assert [n for n in odd if _strong_base2(n) and not isprime(n)][:5] == [2047, 3277, 4033, 4681, 8321]
+
+
+@contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [1093, 3511, 2**31 - 1])
+def test_squares_are_refused_before_the_search_for_d(p):
+    # no D has (D/p^2) = -1, so without the square guard the search for D runs
+    # until |D| = p: about 2^30 Jacobi symbols for the Mersenne prime.  1093 and
+    # 3511 are the Wieferich primes, 2^(p-1) = 1 mod p^2: their squares pass the
+    # base-2 test and have no factor below 1024, so is_prime reaches the Lucas test
+    with _deadline(5):
+        assert not _strong_lucas(p * p)
+        assert not is_prime(p * p)
+    assert _strong_base2(p * p) == (p < 2**31 - 1)
 
 
 def test_factor_agrees_with_sympy():

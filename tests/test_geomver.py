@@ -171,28 +171,6 @@ def test_eval_mod_errors():
         eval_mod(sp.sin(x), {x: 4}, 103)
 
 
-def test_is_prime_agrees_with_sympy():
-    import random
-
-    import sympy as sp
-
-    from hgmk3.ffield import is_prime
-    from hgmk3.geomver.modeval import PRIME_BITS
-
-    rng = random.Random(62)
-    odd = [rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1 for _ in range(20000)]
-    primes = [n for n in odd if sp.isprime(n)]
-    assert [n for n in odd if is_prime(n)] == primes and len(primes) > 500
-
-
-def test_is_prime_rejects_a_strong_pseudoprime():
-    from hgmk3.ffield import is_prime
-
-    # 149491 * 747451 * 34233211 = 3 mod 4: a strong pseudoprime to every base
-    # 2..23, with no factor below 1024
-    assert not is_prime(3825123056546413051)
-
-
 def test_random_prime_stream_is_pinned():
     import hashlib
     import random
@@ -203,6 +181,32 @@ def test_random_prime_stream_is_pinned():
     primes = ",".join(str(random_prime(rng)) for _ in range(200))
     assert hashlib.sha256(primes.encode()).hexdigest() == (
         "8e4cb696b84cfbaa740e0215508d28ac3dc72cd510dba80dde1aef471fb63c88")
+
+
+@pytest.mark.parametrize("seed,n_primes,attempts,digest", [
+    (20259, 725, 1568, "68dbf7d35fce8b5fbc6b71496cc069a65c24d101c291511221e3929e47b17a85"),
+    (7, 725, 1577, "e09449c6a7a47b3efa1c7830b031c03e46cebd96c988bc7c46851b3f5088b2c2"),
+])
+def test_sampler_trajectory_is_pinned(monkeypatch, seed, n_primes, attempts, digest):
+    # the records carry only trials, failures and the miss figure; this pins every
+    # prime drawn and every redraw, so a change to the rng draws or to which points
+    # degenerate shows here
+    import hashlib
+
+    from hgmk3.geomver import modeval, sz, verify_all_maps
+
+    primes = []
+
+    def recording(rng):
+        primes.append(modeval.random_prime(rng))
+        return primes[-1]
+
+    monkeypatch.setattr(sz, "random_prime", recording)
+    reports = verify_all_maps(25, seed) + verify_chain_psi(25, seed) + verify_Qt_on_curve(100, seed)
+    trajectory = (";".join(f"{r.name}:{r.attempts}:{r.failures}" for r in reports)
+                  + "|" + ",".join(map(str, primes)))
+    assert (len(primes), sum(r.attempts for r in reports)) == (n_primes, attempts)
+    assert hashlib.sha256(trajectory.encode()).hexdigest() == digest
 
 
 def test_linear_solve_step_draws_nothing():
@@ -219,6 +223,81 @@ def test_linear_solve_step_draws_nothing():
     assert solve_step(t - rho**4, t, {rho: 5}, p, rng) == 625
     assert solve_step(t - 1, t, {}, p, rng) == 1
     assert rng.getstate() == state
+
+
+def _reference_solve_step(eq, var, values, p, rng):
+    # three evaluations of the whole constraint, then solve_step's quadratic formula
+    from hgmk3.geomver.modeval import SampleDegenerateError, eval_mod, sqrt_mod
+
+    c, plus, minus = (eval_mod(eq, values | {var: v}, p) for v in (0, 1, -1))
+    half = (p + 1) // 2
+    a = ((plus + minus) * half - c) % p
+    b = (plus - minus) * half % p
+    if a:
+        root = sqrt_mod((b * b - 4 * a * c) % p, p)
+        if root is None:
+            raise SampleDegenerateError("nonresidue")
+        if rng.random() < 0.5:
+            root = (-root) % p
+        return (-b + root) * pow(2 * a, -1, p) % p
+    if b:
+        return -c * pow(b, -1, p) % p
+    raise SampleDegenerateError("constant")
+
+
+def _solve_both(eq, var, values, p, seed):
+    """[(root or "degenerate", rng state after)] of solve_step and of the reference."""
+    import random
+
+    from hgmk3.geomver.modeval import SampleDegenerateError, solve_step
+
+    out = []
+    for solve in (solve_step, _reference_solve_step):
+        rng = random.Random(seed)
+        try:
+            root = solve(eq, var, dict(values), p, rng)
+        except SampleDegenerateError:
+            root = "degenerate"
+        out.append((root, rng.getstate()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in CATALOG.items() if e.solve_steps))
+def test_solve_step_matches_three_evaluations(name):
+    import random
+
+    from hgmk3.geomver.modeval import random_prime
+
+    entry = CATALOG[name]
+    rng = random.Random(f"solve:{name}")
+    for trial in range(40):
+        p = random_prime(rng)
+        values = {sym: rng.randrange(1, p) for sym in entry.free}
+        for eq, var in entry.solve_steps:
+            got, expected = _solve_both(eq, var, values, p, trial)
+            assert got == expected, (name, var, trial)
+            if got[0] == "degenerate":
+                break
+            values[var] = got[0]
+
+
+def test_solve_step_degenerates_where_the_three_evaluations_do():
+    import sympy as sp
+
+    p = 103
+    (eq, var), = CATALOG["family19_to_family19alt"].solve_steps
+    s = sp.Symbol("s")
+    # s = -1: (s + 1)^2, a denominator without Y, vanishes
+    cases = [(eq, var, {sym: (p - 1 if sym == s else 5) for sym in eq.free_symbols - {var}})]
+    x, y, z = sp.symbols("x y z")
+    # 1/(z - y) divides by zero only at z = y: at z = 1, at z = -1, at z = 0, or nowhere
+    cases += [(z**2 - x + 1 / (z - y), z, {x: 2, y: yv}) for yv in (1, p - 1, 0, 5)]
+    outcomes = []
+    for eq, var, values in cases:
+        got, expected = _solve_both(eq, var, values, p, 0)
+        assert got == expected, (eq, values)
+        outcomes.append(got[0] == "degenerate")
+    assert outcomes == [True, True, True, True, False]
 
 
 def test_no_output_maps_a_symbol_to_itself():

@@ -90,6 +90,18 @@ def test_affine_count_matches_naive_at_every_t(q):
     assert k3._naive_histogram(_field_for(q)) is hist
 
 
+# t -> a = 1/(256t) permutes F_q^x, so the counts over t add up every (x, y, z) in
+# (F_q^x)^3 off the plane x + y + z = 1, which holds q^2 - 3q + 3 of them
+@pytest.mark.parametrize("q,total", [(7, 185), (9, 455), (25, 13271), (27, 16925),
+                                     (31, 26129), (101, 990099)])
+def test_affine_counts_over_every_t_sum_to_the_closed_form(q, total):
+    f = _field_for(q)
+    ts = [f.from_code(code) for code in range(1, q)]
+    assert (q - 1) ** 3 - (q * q - 3 * q + 3) == total
+    for mode in ("naive", "solved-z"):
+        assert sum(count_affine(f, t, mode) for t in ts) == total, mode
+
+
 @pytest.mark.parametrize("q", [101, 243, 401])
 def test_point_count_lemma_at_every_t(q):
     f = _field_for(q)
