@@ -14,6 +14,11 @@ table is certified a posteriori: max | |g(m)|^2 - q | must stay within
 1e-6 sqrt(q), or the build raises PrecisionError.  Exactness downstream is
 recovered by integer rounding plus independent point-count oracles.
 
+A split build holds the table (16 bytes per element), the half grid (8 bytes)
+and one BLOCK of temporaries, so its tracemalloc peak above the field is about
+28 bytes per element at q = 1000003; pocketfft's scratch is untraced, and each
+`ifft` call spans at most one block, or one line where a line is longer.
+
 A table is read through `CharacterSystem.gauss` (index m mod q-1).  Its roots
 of unity come from `zeta` (zeta_{q-1}^r) and `omega_vector` (omega(x)^m), which
 evaluate exp(2j * pi * r / (q-1)) on demand in that operand order,
@@ -25,6 +30,7 @@ that sums do not depend on psi, builds uncached tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -53,22 +59,49 @@ def tolerance(q):
     return 1e-6 * math.sqrt(q)
 
 
-def _crt_grid(weights, ns, N):
-    """int32 sum_i j_i * weights[i] mod N over the grid prod range(ns[i]), in C order."""
-    idx = np.zeros(1, dtype=np.int32)
-    for w, n in zip(weights, ns):
-        axis = (np.arange(n, dtype=np.int64) * w % N).astype(np.int32)
-        idx = np.add.outer(idx, axis).ravel()  # entries < 2N <= 2^25
-        np.subtract(idx, N, out=idx, where=idx >= N)
-    return idx
+# Entries per vectorised block of a table build: the index, gathered-table and
+# transform temporaries stay near 1.5 MB.  Also hyperg's fill and DFT block.
+BLOCK = 1 << 16
 
 
-def _negation_index(ns):
-    """Flat C-order position of (-j_1, ..., -j_r) for each position of (j_1, ..., j_r)."""
-    idx = np.zeros(1, dtype=np.intp)
-    for n in ns:
-        idx = np.add.outer(idx * n, -np.arange(n) % n).ravel()
-    return idx
+def _grid_sums(tables, size):
+    """The sums sum_i tables[i][j_i] over a C-order grid, in consecutive blocks.
+
+    Each block is an int32 array of at most `size` entries: the trailing axes whose
+    grid fits are summed once by outer additions, and the axis before them is cut into
+    chunks that keep a block within `size`.  Two calls with grids of one shape cut the
+    same blocks.
+    """
+    a = len(tables)
+    tail = np.zeros(1, dtype=np.int32)
+    while a and len(tail) * len(tables[a - 1]) <= size:
+        a -= 1
+        tail = np.add.outer(tables[a], tail).ravel()
+    if a == 0:
+        yield tail
+        return
+    axis = tables[a - 1]
+    step = max(1, size // len(tail))
+    for lead in itertools.product(*tables[: a - 1]):
+        for start in range(0, len(axis), step):
+            yield np.add.outer(axis[start : start + step] + sum(lead), tail).ravel()
+
+
+def _line_blocks(a, axis):
+    """Views of `a` as (outer, n, inner) pieces that cover every line along `axis` (axis 1
+    of each piece), each piece at most BLOCK entries, or one line where a line is longer."""
+    n = a.shape[axis]
+    a = a.reshape(math.prod(a.shape[:axis]), n, -1)
+    outer, inner = a.shape[0], a.shape[2]
+    lines = max(1, BLOCK // n)
+    if lines >= inner:
+        rows = lines // inner
+        for i in range(0, outer, rows):
+            yield a[i : i + rows]
+    else:
+        for i in range(outer):
+            for j in range(0, inner, lines):
+                yield a[i : i + 1, :, j : j + lines]
 
 
 def _good_thomas_table(f, twist):
@@ -81,44 +114,64 @@ def _good_thomas_table(f, twist):
 
     Axis 0 is the power of 2, and k + N/2 is k_0 + n_0/2.  As g^(N/2) = -1 and
     psi(-x) = conj(psi(x)), the second half of the grid is the conjugate D* of
-    its first half D.  So psi is evaluated on D only, as conj(zeta_p^(p - Tr))
-    above p/2 so that equal traces get equal bits; the axes after 0 are
-    transformed on D only, and their transform of D* is read off as
-    conj(E(-j)), E the transform of D; axis 0 goes last.  Index arrays are
-    int32 or of length N/n_0, and the grid is the one complex array beside
-    the output.
+    its first half D.  So only D is stored: psi is evaluated on it a block at a
+    time, as conj(zeta_p^(p - Tr)) above p/2 so that equal traces get equal
+    bits, and the axes after 0 are transformed on it one at a time, the last
+    first (as `ifftn` orders them), at most BLOCK entries or one line per
+    `ifft`.  Their transform of D* is conj(E(-j)), E the transform of D.  Axis
+    0 goes last, a block of columns at a time: both halves gathered, the
+    n_0-point `ifft`, and the block written to its CRT positions in the table.
+    Beside the half grid (N/2 complex) and the table (N complex), every array
+    is one block or one axis long.
     """
     N = f.q - 1
     ns = [r**e for r, e in factor(N).items()]
-    half = ns[0] // 2
-    k = _crt_grid([N // n for n in ns], [half, *ns[1:]], N)
-    codes = f.exp[k]
-    del k
-    if twist != 1:
-        codes = f.mul_codes(codes, np.int32(twist))
-    tr = f.trace[codes]
-    del codes
-    flip = tr > f.p // 2
-    np.subtract(f.p, tr, out=tr, where=flip)
-    c = np.empty(N, dtype=complex)
-    top = c[: N // 2].reshape(half, *ns[1:])
-    np.multiply(2j * np.pi / f.p, tr.reshape(top.shape), out=top)
-    del tr
-    np.exp(top, out=top)
-    np.conjugate(top, out=top, where=flip.reshape(top.shape))
-    del flip
+    n0, rest = ns[0], ns[1:]
+    half = n0 // 2
+    top = np.empty((half, *rest), dtype=complex)
+    flat = top.reshape(-1)
+    start = 0
+    # input k = sum_i j_i N/n_i; j_i N/n_i < N, and the tables go with the loop
+    for k in _grid_sums([np.arange(m, dtype=np.int32) * (N // n) for m, n in zip(top.shape, ns)], BLOCK):
+        k %= N  # a sum below len(ns) N < 2^28
+        codes = f.exp[k]
+        del k
+        if twist != 1:
+            codes = f.mul_codes(codes, np.int32(twist))
+        tr = f.trace_codes(codes)
+        del codes
+        flip = tr > f.p // 2
+        np.subtract(f.p, tr, out=tr, where=flip)
+        seg = flat[start : start + tr.size]
+        start += tr.size
+        np.multiply(2j * np.pi / f.p, tr, out=seg)
+        np.exp(seg, out=seg)
+        np.conjugate(seg, out=seg, where=flip)
     # norm="forward" leaves the inverse transforms unscaled: sum_k c_k zeta^{km}
-    np.fft.ifftn(top, axes=range(1, len(ns)), norm="forward", out=top)
+    for axis in reversed(range(1, len(ns))):
+        for piece in _line_blocks(top, axis):
+            np.fft.ifft(piece, axis=1, norm="forward", out=piece)
     top = top.reshape(half, -1)
-    bottom = c[N // 2 :].reshape(half, -1)
-    # the indices are in range; "wrap" skips take's out buffer
-    np.take(top, _negation_index(ns[1:]), axis=1, out=bottom, mode="wrap")
-    np.conjugate(bottom, out=bottom)
-    grid = c.reshape(ns)
-    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
-    idempotents = [N // n * pow(N // n, -1, n) % N for n in ns]
+    # per axis: j e_i mod N (e_i the CRT idempotents), and -j's share of a flat column
+    outs = [(np.arange(n, dtype=np.int64) * (N // n * pow(N // n, -1, n)) % N).astype(np.int32) for n in ns]
+    negs = [-np.arange(n, dtype=np.int32) % n * math.prod(rest[i + 1 :]) for i, n in enumerate(rest)]
     gauss = np.empty(N, dtype=complex)
-    gauss[_crt_grid(idempotents, ns, N)] = c
+    start = 0
+    cols = max(1, BLOCK // n0)
+    for m, neg in zip(_grid_sums(outs[1:], cols), _grid_sums(negs, cols)):
+        stop = start + m.size
+        block = np.empty((n0, m.size), dtype=complex)
+        block[:half] = top[:, start:stop]
+        # the indices are in range; "wrap" skips take's out buffer
+        np.take(top, neg, axis=1, out=block[half:], mode="wrap")
+        del neg
+        np.conjugate(block[half:], out=block[half:])
+        np.fft.ifft(block, axis=0, norm="forward", out=block)
+        m = np.add.outer(outs[0], m)  # below len(ns) N < 2^28
+        m %= N
+        gauss[m] = block
+        del m, block  # before the next block's indices
+        start = stop
     return gauss
 
 
@@ -159,7 +212,7 @@ class CharacterSystem:
         N = f.q - 1
         if N < SPLIT_MIN:
             codes = f.exp if self.twist == 1 else f.mul_codes(f.exp, np.int32(self.twist))
-            c = np.exp(2j * np.pi * f.trace[codes] / f.p)
+            c = np.exp(2j * np.pi * f.trace_codes(codes) / f.p)
             # G[m] = sum_k c_k zeta_{q-1}^{km}
             return np.fft.ifft(c) * N
         return _good_thomas_table(f, self.twist)

@@ -16,8 +16,9 @@ codes through the exp/dlog/zech tables, so no loop runs over the n digits.
 element enters F_q; `FqElem`'s operators, `dlog`, `sqrt` and
 `quadratic_character` call it, so ints and Fractions are operands as they are.
 
-The quadratic character is `quadratic_character`; the absolute trace is the
-table `FieldSpec.trace`.  The package's integer work goes through three helpers
+The quadratic character is `quadratic_character`; the absolute trace is
+`FieldSpec.trace_codes`, computed from the digits of a code, so no trace table is
+stored.  The package's integer work goes through three helpers
 here: `is_prime`, `factor` (trial division, for the bounded or smooth integers
 the package meets) and `prime_power`, which checks the 2^24 bound before it
 factors anything.  `FieldSpec.next_generator` is public API that only
@@ -285,7 +286,8 @@ class FieldSpec:
         exp: int32 array, exp[k] = code of generator^k, k in [0, q-2].
         dlog: int32 array over codes, dlog[0] = -1.
         zech: int32 array, zech[k] = dlog(1 + generator^k), -1 when 1+g^k = 0.
-        trace: int32 array over codes, absolute trace to F_p.
+        power_sums: (s_0, ..., s_{n-1}), s_j = Tr(x^j) in [0, p), which `trace_codes`
+            reads; exp, dlog and zech are the only length-q arrays a field keeps.
         character_system: the canonical charsum.CharacterSystem, None until
             charsum.get_character_system builds it; it lives as long as the field.
 
@@ -379,18 +381,14 @@ class FieldSpec:
         self.dlog = dlog
         # zech[k] = dlog(g^k + 1); adding 1 changes only the constant digit of a code
         self.zech = dlog[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
-        # absolute trace, F_p-linear on the power basis: Tr(x^j) is the power sum
-        # s_j of the roots of the modulus c (monic, low first), by Newton's
-        # identities s_j = -(j c[n-j] + sum_{i<j} c[n-i] s_{j-i}) with s_0 = n.
-        # The table over codes [0, p^j) extends to [0, p^(j+1)) with Tr(x^j).
+        # Tr(x^j) for `trace_codes`: the power sum s_j of the roots of the modulus c
+        # (monic, low first), by Newton's identities
+        # s_j = -(j c[n-j] + sum_{i<j} c[n-i] s_{j-i}) with s_0 = n
         c = self.modulus
         s = [n % p]
         for j in range(1, n):
             s.append(-(j * c[n - j] + sum(c[n - i] * s[j - i] for i in range(1, j))) % p)
-        trace = np.zeros(1, dtype=np.int64)
-        for sj in s:
-            trace = ((np.arange(p, dtype=np.int64)[:, None] * sj + trace) % p).ravel()
-        self.trace = trace.astype(np.int32)
+        self.power_sums = tuple(s)
 
     # -- vectorised code arithmetic ------------------------------------------
     # Prime-field codes are integers mod p.  Extension fields go through the
@@ -436,6 +434,25 @@ class FieldSpec:
         if e <= 0 and np.any(a == 0):
             raise DomainError("0^e with e <= 0")
         return self._exp_codes(self.dlog[a].astype(np.int64) * e, a == 0)
+
+    def trace_codes(self, a):
+        """Absolute trace to F_p on codes, as a new int32 array.
+
+        A prime-field code is its own trace.  Tr is F_p-linear on the power basis,
+        so the code sum_j d_j p^j has trace sum_j d_j s_j mod p, s_j = power_sums[j].
+        The work is int32 (each partial sum is below n p^2 <= 2^25) on arrays the
+        size of `a`: a caller with a length-q operand passes it a block at a time.
+        """
+        a = np.array(a, dtype=np.int32)
+        if self.n == 1:
+            return a
+        out = np.zeros_like(a)
+        for sj in self.power_sums:
+            a, d = np.divmod(a, self.p)
+            d *= sj
+            out += d
+        out %= self.p
+        return out
 
     def chi_codes(self, a):
         """Quadratic character on codes: 0 at 0, else (-1)^dlog."""

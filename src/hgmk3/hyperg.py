@@ -49,7 +49,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .charsum import PrecisionError, get_character_system
+from .charsum import BLOCK, PrecisionError, get_character_system
 from .ffield import DomainError, dlog
 
 ROUNDING_THRESHOLD = 1e-3  # absolute
@@ -187,11 +187,6 @@ def _s_support(datum, N):
     return np.array(ms, dtype=np.int64), np.array(s, dtype=np.int64)
 
 
-# m values per fill step, and entries per DFT block: the int64 index, gathered-table
-# and transform temporaries stay near 1.5 MB.
-_FILL_BLOCK = 1 << 16
-
-
 def _weights(datum, cs):
     """Cached per-(datum, system) L x A x B array T[j, a, b] = T[j, a B + b] of the
     module docstring over r in [0, R/2], zero past R/2.
@@ -225,15 +220,15 @@ def _weights(datum, cs):
     w[ls[kept], rs[kept]] = np.float_power(float(q), s[kept] - datum.s0())
     multipliers = Counter(datum.p_list + tuple(-qq for qq in datum.q_list))
     for l in range(L):
-        for start in range(0, H, _FILL_BLOCK):
-            seg = w[l, start:start + _FILL_BLOCK]
+        for start in range(0, H, BLOCK):
+            seg = w[l, start:start + BLOCK]
             m = np.arange(R * l + start, R * l + start + len(seg), dtype=np.int64)
             for c, count in multipliers.items():
                 g = cs.gauss[(c * m) % N]
                 for _ in range(count):  # not g**count: same rounding as factor by factor
                     seg *= g
     # norm="forward" leaves the inverse transform unscaled: sum_l T[l] zeta_L^{jl}
-    cols = max(1, _FILL_BLOCK // L)
+    cols = max(1, BLOCK // L)
     for start in range(0, H, cols):
         block = w[:, start:start + cols]
         np.fft.ifft(block, axis=0, norm="forward", out=block)
