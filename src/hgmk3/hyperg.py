@@ -49,7 +49,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .charsum import BLOCK, PrecisionError, get_character_system
+from .charsum import BLOCK, PrecisionError, _line_blocks, get_character_system
 from .ffield import DomainError, dlog
 
 ROUNDING_THRESHOLD = 1e-3  # absolute
@@ -194,11 +194,11 @@ def _weights(datum, cs):
     Each row l of an L x (A B) array is first filled with w(R l + r),
     w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), in place, a block of contiguous m
     at a time, and a multiplier repeated in the datum is gathered once per block.  One
-    unnormalised L-point inverse DFT over l, in place a block of columns at a time,
-    turns row l into row j.  T[j, R - r] = zeta_L^{-j} conj(T[j, r]), so the columns
-    past R/2 are never stored; the self-paired columns r = 0 and (R even) r = R/2
-    are halved, so that 2 Re(u^T T[j] v) is the whole-line sum.  At L = 1 (q = 3)
-    T[0] is the half line w(m), m in [0, N/2].
+    unnormalised L-point inverse DFT over l, in place a block of columns at a time
+    (`charsum._line_blocks`), turns row l into row j.  T[j, R - r] = zeta_L^{-j}
+    conj(T[j, r]), so the columns past R/2 are never stored; the self-paired columns
+    r = 0 and (R even) r = R/2 are halved, so that 2 Re(u^T T[j] v) is the whole-line
+    sum.  At L = 1 (q = 3) T[0] is the half line w(m), m in [0, N/2].
     """
     key = datum.key()
     cached = cs._hg_cache.get(key)
@@ -227,11 +227,10 @@ def _weights(datum, cs):
                 g = cs.gauss[(c * m) % N]
                 for _ in range(count):  # not g**count: same rounding as factor by factor
                     seg *= g
-    # norm="forward" leaves the inverse transform unscaled: sum_l T[l] zeta_L^{jl}
-    cols = max(1, BLOCK // L)
-    for start in range(0, H, cols):
-        block = w[:, start:start + cols]
-        np.fft.ifft(block, axis=0, norm="forward", out=block)
+    # norm="forward" leaves the inverse transform unscaled: sum_l T[l] zeta_L^{jl};
+    # the zero columns past R/2 stay zero
+    for piece in _line_blocks(T, 0):
+        np.fft.ifft(piece, axis=1, norm="forward", out=piece)
     w[:, [0, R // 2] if R % 2 == 0 else [0]] /= 2
     T = T.reshape(L, A, B)
     cs._hg_cache[key] = T

@@ -9,7 +9,8 @@ the two 8-component fibers as 8q+1, the 4-cycle fiber as 4q, and the fiber at
 infinity on the scaled model y^2 = x^3 + x^2/4 + x/(64t).  Both character sums
 are q x q grids that reduce to one circular correlation (`_chi_shift_sums`),
 taken by a real FFT in O(q log q) with its rounding proven exact before use, so
-every count reaches the q <= 2^24 bound.
+every count reaches the q <= 2^24 bound.  The affine row x + y = 0 is summed in
+closed form, -1 - chi(t); exponents stay int32, below 2^28 for q <= 2^24.
 
 Counts and checks take t as an int, a Fraction or an element of F_q, as
 `FieldSpec.element` does; `_t_mod` takes it through that method.  `delta_correction` is public API that only
@@ -102,14 +103,15 @@ def count_affine(field, t, mode="solved-z"):
     # Z/N with i; c = -4a/(xy) = g^(K - 2i - d) and 2i = 2j - 2Z[d], so for d != N/2
     # chi(w^2 + c) = (-1)^(K+d) chi(1 + g^(2(j + Z[j]) + d - K - 2Z[d])), or (-1)^(K+d) at w = 0.
     N, H = q - 1, (q - 1) // 2
-    Z = field.zech.astype(np.int64)
+    Z = field.zech  # int32: every column and shift is below 2^28 in absolute value for q <= 2^24
     K = dlog(field, -4 * a)
-    j = d = np.delete(np.arange(N), H)  # both skip N/2
-    sums = _chi_shift_sums(field, 2 * (j + Z[j]), np.ones_like(j), d - K - 2 * Z[d])
+    j = d = np.delete(np.arange(N, dtype=np.int32), H)  # both skip N/2
+    sums = _chi_shift_sums(field, 2 * (j + Z[j]), None, d - K - 2 * Z[d])
     total = int((1 - 2 * ((K + d) & 1)) @ (sums + 1))
-    # the row d = N/2: x + y = 0, w = 1, chi(1 + c) with c = g^(K - 2i - N/2)
-    total += int(_chi_one_plus(field)[(K - H - 2 * np.arange(N)) % N].sum())
-    return N * N + total
+    # the row d = N/2: x + y = 0, w = 1, and z^2 - z - a/x^2 has 1 + chi(1 + 4a/x^2) roots;
+    # sum_{x != 0} chi(1 + 4a x^-2) = chi(4a) sum_{u != 0} chi(u^2 + 1/(4a)) = -1 - chi(a), as
+    # sum_{u in F_q} chi(u^2 + b) = -1 for b != 0, and chi(a) = chi(1/(256t)) = chi(t)
+    return N * N + total - 1 - quadratic_character(field, a)
 
 
 # (p, n) -> `_naive_histogram`.  field_new is deterministic, so the codes of F_{p^n}
@@ -142,12 +144,6 @@ def _naive_histogram(field):
     return _NAIVE_HISTOGRAMS[key]
 
 
-def _chi_one_plus(field):
-    """chi(1 + g^m) for m in Z/(q-1): +-1 by the parity of zech[m], 0 at m = N/2."""
-    z = field.zech.astype(np.int64)
-    return np.where(z < 0, 0, 1 - 2 * (z & 1))
-
-
 def _fft_error_bound(norm_a, norm_b, L):
     """Bound on every entry's error in a floating-point FFT correlation of real
     vectors with Euclidean norms norm_a, norm_b, at power-of-two length L.
@@ -163,17 +159,19 @@ def _fft_error_bound(norm_a, norm_b, L):
 
 
 def _chi_shift_sums(field, cols, weights, shifts):
-    """For each s in `shifts`: sum_k weights[k] chi(1 + g^(cols[k] + s)), exactly.
+    """For each s in `shifts`: sum_k weights[k] chi(1 + g^(cols[k] + s)), exactly;
+    weights None weighs every column 1, as in np.bincount.
 
     A circular correlation: the columns are binned by exponent mod N = q-1, and
-    every shift's sum is one entry of the correlation of the doubled chi(1 + g^m)
-    sequence with the bins, taken by one real-FFT product at a power-of-two length
-    L >= 2N (no wrap-around).  The entries are integers; the rounding is certified
-    before use: IntegrityError unless the a-priori error bound (_fft_error_bound)
-    is below 1/2 and no entry lies farther than that bound from an integer.
+    every shift's sum is one entry of the correlation of the doubled sequence
+    chi(1 + g^m) = (-1)^zech[m] (0 at m = N/2, where zech is -1) with the bins,
+    taken by one real-FFT product at a power-of-two length L >= 2N (no wrap-around).
+    The entries are integers; the rounding is certified before use: IntegrityError
+    unless the a-priori error bound (_fft_error_bound) is below 1/2 and no entry
+    lies farther than that bound from an integer.
     """
     N = field.q - 1
-    chi = _chi_one_plus(field)
+    chi = np.where(field.zech < 0, 0, 1 - 2 * (field.zech & 1))
     bins = np.bincount(cols % N, weights=weights, minlength=N)
     L = 1 << (2 * N - 1).bit_length()
     bound = _fft_error_bound(math.sqrt(2 * np.count_nonzero(chi)), float(np.linalg.norm(bins)), L)
@@ -204,8 +202,8 @@ def _fiber_counts(field, t):
     a2(s) and a4(s) are nonzero there, so one correlation counts smooth and nodal fibers."""
     q = field.q
     N, H = q - 1, (q - 1) // 2
-    Z = field.zech.astype(np.int64)
-    sigma = np.delete(np.arange(N), [0, H])  # s = g^sigma != 0; s = 1 = g^0, s = -1 = g^H
+    Z = field.zech  # int32: every column, shift, alpha and beta is below 2^28 in absolute value for q <= 2^24
+    sigma = np.delete(np.arange(N, dtype=np.int32), [0, H])  # s = g^sigma != 0; s = 1 = g^0, s = -1 = g^H
     # s^2 - 1 = g^mu; a2(s) = (s^2-1)^2 / 4 = g^alpha, a4(s) = s^2 (s^2-1)^3 / (64t) = g^beta
     mu = H + Z[(2 * sigma + H) % N]
     alpha = 2 * mu - dlog(field, 4)
@@ -214,7 +212,7 @@ def _fiber_counts(field, t):
     # x^2 + a2 x + a4 = g^beta (1 + g^(k + Z[k] + 2 alpha - beta)), or a4 at k = N/2;
     # with chi(x) = (-1)^(alpha + k), sum_x chi(x^3 + a2 x^2 + a4 x) is (-1)^(alpha + beta)
     # (sum_{k != N/2} (-1)^k chi(1 + g^(k + Z[k] + 2 alpha - beta)) + (-1)^(N/2)).
-    k = np.delete(np.arange(N), H)
+    k = np.delete(np.arange(N, dtype=np.int32), H)
     counts = _chi_shift_sums(field, k + Z[k], 1 - 2 * (k & 1), 2 * alpha - beta)
     counts += 1 - 2 * (H & 1)
     counts *= 1 - 2 * ((alpha + beta) & 1)

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hgmk3.charsum import CharacterSystem, PrecisionError, get_character_system
+from hgmk3.charsum import BLOCK, CharacterSystem, PrecisionError, get_character_system
 from hgmk3.ecount import verify_curve_trace_theorem
 from hgmk3.ffield import DomainError, FqElem, field_new
 from hgmk3.hyperg import (
     DatumError,
     _s_support,
+    _weights,
     curve_datum,
     datum_from_parameters,
     hg_H2,
@@ -420,6 +421,36 @@ CENSUS = [
     datum_from_parameters((F(1, 3), F(2, 3)), (0, 0)),
     datum_from_parameters((F(1, 2),) * 3, (F(1, 4), F(3, 4), 0)),
 ]
+
+
+# L = 3 and R = 4 at 13; L = 6 at 1000003; L = 46 at 3^11
+@pytest.mark.parametrize("p,n", [(13, 1), (1000003, 1), (3, 11)])
+def test_stage_transform_is_the_column_block_loop_bit_for_bit(p, n, monkeypatch):
+    f = field_new(p, n)
+    cs = CharacterSystem(f)
+    N = f.q - 1
+    L = stage_length(N)
+    R = N // L
+    H = R // 2 + 1
+    halved = [0, R // 2] if R % 2 == 0 else [0]
+    for datum in [d for d in CENSUS if math.gcd(f.q, d.denominator_lcm) == 1]:
+        T = _weights(datum, cs).reshape(L, -1)
+        cs._hg_cache.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "ifft", lambda a, *args, **kwargs: a)  # the filled rows, untransformed
+            filled = _weights(datum, cs).reshape(L, -1).copy()
+        cs._hg_cache.clear()
+        filled[:, halved] *= 2  # exact: undoes the halving
+        # one ifft per block of BLOCK // L columns r in [0, R/2], as the stage ran before
+        # it went through charsum._line_blocks over the whole padded array
+        w = filled[:, :H]
+        cols = max(1, BLOCK // L)
+        for start in range(0, H, cols):
+            block = w[:, start:start + cols]
+            np.fft.ifft(block, axis=0, norm="forward", out=block)
+        w[:, halved] /= 2
+        assert np.array_equal(T, filled), datum.key()
+        assert not T[:, H:].any()
 
 
 # L = 1 at q = 3; R = N/L odd at 7 (L = 2), 7^3 (L = 18) and 2003 (L = 26);

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import hgmk3.k3count as k3
 from hgmk3.cli import _field_for, main
-from hgmk3.ffield import field_new, quadratic_character
+from hgmk3.ffield import dlog, field_new, quadratic_character
 from hgmk3.hyperg import IntegrityError, hg_H2, hg_H3
 from hgmk3.k3count import (
     BadReductionError,
@@ -37,12 +38,17 @@ def brute_affine(p, t):
     )
 
 
+def chi_one_plus(field):
+    """chi(1 + g^m) for m in Z/(q-1): +-1 by the parity of zech[m], 0 at m = N/2."""
+    z = field.zech.astype(np.int64)
+    return np.where(z < 0, 0, 1 - 2 * (z & 1))
+
+
 def windowed_shift_sums(field, cols, weights, shifts):
     """sum_k weights[k] chi(1 + g^(cols[k] + s)) for each s, one window of the
     doubled chi(1 + g^m) sequence per shift: the O(q^2) correlation."""
     N = field.q - 1
-    z = field.zech.astype(np.int64)
-    chi = np.where(z < 0, 0, 1 - 2 * (z & 1))
+    chi = chi_one_plus(field)
     windows = sliding_window_view(np.concatenate([chi, chi]), N)
     bins = np.zeros(N, dtype=np.int64)
     np.add.at(bins, cols % N, weights)
@@ -88,6 +94,34 @@ def test_affine_count_matches_naive_at_every_t(q):
     hist = k3._naive_histogram(f)
     assert hist.sum() == (q - 1) ** 3
     assert k3._naive_histogram(_field_for(q)) is hist
+
+
+# the affine grid's row x + y = 0, y = -x = g^(i + N/2): the row's gather of chi(1 + c),
+# c = -4a/(xy) = g^(K - N/2 - 2i), K = dlog(-4a), against count_affine's closed form
+@pytest.mark.parametrize("q", [7, 9, 25, 27, 31, 101])
+def test_affine_row_x_plus_y_zero_is_minus_one_minus_chi_t(q):
+    f = _field_for(q)
+    N = q - 1
+    chi = chi_one_plus(f)
+    for code in range(1, q):
+        t = f.from_code(code)
+        K = dlog(f, -4 / (256 * t))
+        row = chi[(K - N // 2 - 2 * np.arange(N)) % N].sum()
+        assert row == -1 - quadratic_character(f, t), (q, code)
+
+
+# above a built field: the chi sequence, the bins and the length-L FFT arrays, with
+# int32 exponents and no N-long weights for the affine bins
+def test_counts_peak_per_element_at_q_1000003():
+    f = field_new(1000003)
+    for count, bound in [(count_affine, 64.0), (count_elliptic_surface, 84.0)]:
+        tracemalloc.start()
+        try:
+            count(f, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / f.q <= bound, (count.__name__, peak / f.q)
 
 
 # t -> a = 1/(256t) permutes F_q^x, so the counts over t add up every (x, y, z) in
