@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .ffield import DomainError, FieldSpec, dlog, factor
+from .ffield import BLOCK, DomainError, FieldSpec, dlog, factor
 
 
 class PrecisionError(ArithmeticError):
@@ -57,11 +57,6 @@ SPLIT_MIN = 1 << 16
 def tolerance(q):
     """Permitted max deviation of |g(m)|^2 from q."""
     return 1e-6 * math.sqrt(q)
-
-
-# Entries per vectorised block of a table build: the index, gathered-table and
-# transform temporaries stay near 1.5 MB.  Also hyperg's fill and DFT block.
-BLOCK = 1 << 16
 
 
 def _grid_sums(tables, size):

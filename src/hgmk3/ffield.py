@@ -2,8 +2,11 @@
 
 Elements are held Zech-style: a nonzero element is the exponent k of the fixed
 generator (value = generator^k), zero is a separate marker.  Multiplication is
-then addition mod q-1 and discrete logs are free; addition goes through a
-precomputed successor table of size q.  Everything is chosen deterministically
+then addition mod q-1 and discrete logs are free.  A field keeps two tables of
+size q, `exp` and `dlog` (8 bytes per element).  Prime-field addition adds the
+codes of the two elements mod p; extension-field addition goes through the
+successor table `zech`, which a field builds on its first read (4 more bytes
+per element) and keeps.  Everything is chosen deterministically
 (lexicographically least modulus, least generator) so downstream character sums
 are reproducible bit for bit.
 
@@ -30,10 +33,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 Q_MAX = 2**24  # table-resident bound
+
+# Entries per vectorised block of a length-q build: a block of int32 or complex
+# temporaries stays near 1.5 MB.  The field tables, charsum's Gauss table and
+# hyperg's weight fill and DFT are built a block at a time.
+BLOCK = 1 << 16
 
 
 class FieldConstructionError(ValueError):
@@ -285,14 +294,19 @@ class FieldSpec:
         generator: code of the chosen multiplicative generator.
         exp: int32 array, exp[k] = code of generator^k, k in [0, q-2].
         dlog: int32 array over codes, dlog[0] = -1.
-        zech: int32 array, zech[k] = dlog(1 + generator^k), -1 when 1+g^k = 0.
+        zech: int32 array, zech[k] = dlog(1 + generator^k), -1 when 1+g^k = 0;
+            built a BLOCK at a time on its first read and kept from then on.  Only
+            extension-field addition and k3count's point counts read it.
         power_sums: (s_0, ..., s_{n-1}), s_j = Tr(x^j) in [0, p), which `trace_codes`
-            reads; exp, dlog and zech are the only length-q arrays a field keeps.
+            reads.  A new field keeps exp and dlog as its only length-q arrays
+            (8 bytes per element), and zech adds 4 more once it is read.
         character_system: the canonical charsum.CharacterSystem, None until
             charsum.get_character_system builds it; it lives as long as the field.
 
-    Construction is single-threaded; apart from that table slot, instances are
-    never mutated afterwards and are safe for concurrent read-only sharing.
+    Construction is single-threaded.  Apart from the zech and character_system
+    slots, each filled once on first use, instances are never mutated afterwards
+    and are safe for concurrent read-only sharing; two threads that read an empty
+    slot at once may each build it, and get equal tables.
     """
 
     def __init__(self, p, n=1, generator=None):
@@ -343,6 +357,8 @@ class FieldSpec:
         if not 1 <= code < self.q:
             return False
         q1 = self.q - 1
+        if self.n == 1:  # code generates F_p^x iff code^((p-1)/r) != 1 for each prime r | p - 1
+            return all(pow(code, q1 // r, self.p) != 1 for r in self._q1_factors)
         poly = self._code_to_poly(code)
         return all(
             _poly_pow_mod(poly, q1 // r, self.modulus, self.p) != [1]
@@ -376,11 +392,11 @@ class FieldSpec:
             exp[start : start + len(rows)] = rows[: N - start] @ place
             rows = rows @ step % p
         dlog = np.full(q, -1, dtype=np.int32)
-        dlog[exp] = np.arange(N, dtype=np.int32)
+        for start in range(0, N, BLOCK):
+            stop = min(start + BLOCK, N)
+            dlog[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
         self.exp = exp
         self.dlog = dlog
-        # zech[k] = dlog(g^k + 1); adding 1 changes only the constant digit of a code
-        self.zech = dlog[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
         # Tr(x^j) for `trace_codes`: the power sum s_j of the roots of the modulus c
         # (monic, low first), by Newton's identities
         # s_j = -(j c[n-j] + sum_{i<j} c[n-i] s_{j-i}) with s_0 = n
@@ -389,6 +405,17 @@ class FieldSpec:
         for j in range(1, n):
             s.append(-(j * c[n - j] + sum(c[n - i] * s[j - i] for i in range(1, j))) % p)
         self.power_sums = tuple(s)
+
+    @cached_property
+    def zech(self):
+        """zech[k] = dlog(g^k + 1), built a BLOCK at a time on first read."""
+        p, exp = self.p, self.exp
+        zech = np.empty(len(exp), dtype=np.int32)
+        for start in range(0, len(exp), BLOCK):
+            e = exp[start : start + BLOCK]
+            # adding 1 changes only the constant digit of a code
+            zech[start : start + BLOCK] = self.dlog[np.where(e % p == p - 1, e - (p - 1), e + 1)]
+        return zech
 
     # -- vectorised code arithmetic ------------------------------------------
     # Prime-field codes are integers mod p.  Extension fields go through the
@@ -583,6 +610,9 @@ class FqElem:
         if other.e is None:
             return self
         f = self.field
+        if f.n == 1:  # prime-field codes add as integers mod p
+            code = (f.exp.item(self.e) + f.exp.item(other.e)) % f.p
+            return FqElem(f, f.dlog.item(code) if code else None)
         d = f.zech[(other.e - self.e) % (f.q - 1)]
         if d < 0:
             return FqElem(f, None)

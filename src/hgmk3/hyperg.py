@@ -193,7 +193,7 @@ def _weights(datum, cs):
 
     Each row l of an L x (A B) array is first filled with w(R l + r),
     w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), in place, a block of contiguous m
-    at a time, and a multiplier repeated in the datum is gathered once per block.  One
+    at a time, each multiplier c read as strided views of the Gauss table.  One
     unnormalised L-point inverse DFT over l, in place a block of columns at a time
     (`charsum._line_blocks`), turns row l into row j.  T[j, R - r] = zeta_L^{-j}
     conj(T[j, r]), so the columns past R/2 are never stored; the self-paired columns
@@ -222,11 +222,16 @@ def _weights(datum, cs):
     for l in range(L):
         for start in range(0, H, BLOCK):
             seg = w[l, start:start + BLOCK]
-            m = np.arange(R * l + start, R * l + start + len(seg), dtype=np.int64)
+            m = R * l + start
             for c, count in multipliers.items():
-                g = cs.gauss[(c * m) % N]
-                for _ in range(count):  # not g**count: same rounding as factor by factor
-                    seg *= g
+                # g(c m mod N) over the block: a strided view of the table up to each wrap
+                # of c m past N or 0, at most |c| + 1 views as the block is at most N long
+                i = 0
+                while i < len(seg):
+                    g = cs.gauss[c * (m + i) % N :: c][: len(seg) - i]
+                    for _ in range(count):  # not g**count: same rounding as factor by factor
+                        seg[i : i + len(g)] *= g
+                    i += len(g)
     # norm="forward" leaves the inverse transform unscaled: sum_l T[l] zeta_L^{jl};
     # the zero columns past R/2 stay zero
     for piece in _line_blocks(T, 0):

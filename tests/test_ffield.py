@@ -19,9 +19,11 @@ import hgmk3
 from hgmk3.ffield import (
     DomainError,
     FieldConstructionError,
+    FqElem,
     ReductionError,
     _is_irreducible,
     _poly_mul_mod,
+    _poly_pow_mod,
     _poly_trim,
     _strong_base2,
     _strong_lucas,
@@ -300,6 +302,28 @@ def test_element_arithmetic_roundtrips_both_views():
     assert s.coeffs() == [(1 + 2) % 3, (2 + 2) % 3]
     assert a - a == f.zero()
     assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 101])
+def test_prime_field_addition_is_the_zech_rule(q):
+    # x + y = g^(a + zech[b - a]) for x = g^a, y = g^b; 0 where zech is -1
+    f = field_new(q)
+    N = q - 1
+    sums = [[FqElem(f, a) + FqElem(f, b) for b in range(N)] for a in range(N)]
+    assert "zech" not in vars(f)  # prime-field addition adds codes
+    for a in range(N):
+        assert FqElem(f, a) + f.zero() == FqElem(f, a) == f.zero() + FqElem(f, a)
+        for b in range(N):
+            z = int(f.zech[(b - a) % N])
+            assert sums[a][b].e == (None if z < 0 else (a + z) % N), (a, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 2003])
+def test_prime_field_generator_test_is_the_polynomial_test(p):
+    f = field_new(p)
+    for code in range(1, p):
+        poly = all(_poly_pow_mod([code], (p - 1) // r, f.modulus, p) != [1] for r in factor(p - 1))
+        assert f._generates(code) == poly, code
 
 
 CODE_FIELDS = [field_new(13), field_new(7, 2), field_new(5, 3), field_new(3, 5)]

@@ -1,6 +1,7 @@
 """Datum compilation and the finite hypergeometric sums."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -451,6 +452,52 @@ def test_stage_transform_is_the_column_block_loop_bit_for_bit(p, n, monkeypatch)
         w[:, halved] /= 2
         assert np.array_equal(T, filled), datum.key()
         assert not T[:, H:].any()
+
+
+def index_gather_fill(datum, cs, L, R, H):
+    """The rows w(R l + r), r in [0, R/2], filled as `_weights` filled them before it
+    read strided views of the table: each multiplier's Gauss values gathered through
+    the int64 indices (c m) mod N of a block of m."""
+    q = cs.field.q
+    N = q - 1
+    w = np.zeros((L, H), dtype=complex)
+    w.fill(float(q) ** -datum.s0())
+    ms, s = _s_support(datum, N)
+    ls, rs = np.divmod(ms, R)
+    kept = rs < H
+    w[ls[kept], rs[kept]] = np.float_power(float(q), s[kept] - datum.s0())
+    multipliers = Counter(datum.p_list + tuple(-qq for qq in datum.q_list))
+    for l in range(L):
+        for start in range(0, H, BLOCK):
+            seg = w[l, start:start + BLOCK]
+            m = np.arange(R * l + start, R * l + start + len(seg), dtype=np.int64)
+            for c, count in multipliers.items():
+                g = cs.gauss[(c * m) % N]
+                for _ in range(count):
+                    seg *= g
+    return w
+
+
+# L = 3 and R = 4 at 13 (multipliers up to 6 wrap several times in a row of 3); L = 6
+# at 1000003, whose rows span several blocks; L = 46 at 3^11
+@pytest.mark.parametrize("p,n", [(13, 1), (1000003, 1), (3, 11)])
+def test_strided_fill_is_the_index_gather_fill_bit_for_bit(p, n, monkeypatch):
+    f = field_new(p, n)
+    cs = CharacterSystem(f)
+    N = f.q - 1
+    L = stage_length(N)
+    R = N // L
+    H = R // 2 + 1
+    data = [d for d in CENSUS + [DEGREE_FOUR] if math.gcd(f.q, d.denominator_lcm) == 1]
+    assert len(data) >= 3
+    for datum in data:
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "ifft", lambda a, *args, **kwargs: a)  # the filled rows, untransformed
+            filled = _weights(datum, cs).reshape(L, -1)[:, :H].copy()
+        cs._hg_cache.clear()
+        expect = index_gather_fill(datum, cs, L, R, H)
+        expect[:, [0, R // 2] if R % 2 == 0 else [0]] /= 2
+        assert np.array_equal(filled, expect), datum.key()
 
 
 # L = 1 at q = 3; R = N/L odd at 7 (L = 2), 7^3 (L = 18) and 2003 (L = 26);

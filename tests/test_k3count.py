@@ -110,10 +110,12 @@ def test_affine_row_x_plus_y_zero_is_minus_one_minus_chi_t(q):
         assert row == -1 - quadratic_character(f, t), (q, code)
 
 
-# above a built field: the chi sequence, the bins and the length-L FFT arrays, with
-# int32 exponents and no N-long weights for the affine bins
+# above a built field with its zech table (read first, as the counts read it): the chi
+# sequence, the bins and the length-L FFT arrays, with int32 exponents and no N-long
+# weights for the affine bins
 def test_counts_peak_per_element_at_q_1000003():
     f = field_new(1000003)
+    f.zech
     for count, bound in [(count_affine, 64.0), (count_elliptic_surface, 84.0)]:
         tracemalloc.start()
         try:

@@ -1,19 +1,22 @@
 """The field tables and the Gauss table, built in the memory they keep.
 
 Reference builds: the Good-Thomas table transformed as one whole grid and
-scattered through a length-(q-1) index, and the trace stored as a table over
-every code.  The library's blocked builds must reproduce them bit for bit, and
-tracemalloc pins what the field keeps and what the table build peaks at, per
-element.  tracemalloc does not see pocketfft's scratch; the installed-package CI
-step bounds the whole-process peak at q = 16777213.
+scattered through a length-(q-1) index, the trace stored as a table over every
+code, and the zech table as one whole-length gather.  The library's blocked
+builds must reproduce them bit for bit, and tracemalloc pins what the field
+keeps and what the field build and the table build peak at, per element.
+tracemalloc does not see pocketfft's scratch; the installed-package CI step
+bounds the whole-process peak at q = 16777213.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hgmk3.charsum import CharacterSystem
+from hgmk3.charsum import BLOCK, CharacterSystem
 from hgmk3.ffield import factor, field_new
 
 
@@ -123,12 +126,66 @@ def _traced(build):
     return result, kept, peak
 
 
+def _tables(f):
+    """{name: bytes} of the length-q arrays the field holds."""
+    return {name: a.nbytes for name, a in vars(f).items() if isinstance(a, np.ndarray) and a.size >= f.q - 1}
+
+
 def test_field_keeps_exp_dlog_and_zech_alone():
     f, kept, _ = _traced(lambda: field_new(1000003))
     q = f.q
-    tables = {name: a.nbytes for name, a in vars(f).items() if isinstance(a, np.ndarray) and a.size >= q - 1}
-    assert tables == {"exp": 4 * (q - 1), "dlog": 4 * q, "zech": 4 * (q - 1)}
-    assert kept < 12.5 * q
+    assert _tables(f) == {"exp": 4 * (q - 1), "dlog": 4 * q}
+    assert kept < 8.5 * q
+    # zech is built on its first read, a block at a time, and kept
+    zech, added, peak = _traced(lambda: f.zech)
+    assert f.zech is zech
+    assert _tables(f) == {"exp": 4 * (q - 1), "dlog": 4 * q, "zech": 4 * (q - 1)}
+    assert added < 4 * q + 1024
+    assert peak <= 4 * q + 16 * BLOCK  # one block of int32 and bool temporaries
+
+
+def eager_zech(f):
+    """The zech table as one whole-length gather: adding 1 changes only the constant digit."""
+    exp, p = f.exp, f.p
+    return f.dlog[np.where(exp % p == p - 1, exp - (p - 1), exp + 1)]
+
+
+@pytest.mark.parametrize(
+    "p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 3), (3, 5), (3, 7), (11, 2), (3, 11), (65537, 1), (1000003, 1)],
+)
+def test_lazy_zech_is_the_eager_gather(p, n):
+    # 3^11 and the two large primes span more than one block
+    f = field_new(p, n)
+    assert "zech" not in vars(f)
+    assert f.zech.dtype == np.int32
+    assert np.array_equal(f.zech, eager_zech(f))
+
+
+def test_concurrent_first_reads_of_zech_agree():
+    # threads that read the empty slot at once may each build the table; each gets all of it
+    f = field_new(65537)  # two blocks, so a build can be switched out halfway
+    expect = eager_zech(f)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(f.zech)) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(np.array_equal(z, expect) for z in got)
+    assert any(f.zech is z for z in got)
+
+
+@pytest.mark.parametrize("p,n", [(1000003, 1), (3, 11)])
+def test_field_build_peak_per_element(p, n):
+    # exp and dlog (8 bytes per element) and one block of temporaries
+    f, _, peak = _traced(lambda: field_new(p, n))
+    assert peak / f.q <= 14.0
 
 
 @pytest.mark.parametrize("p,n,bound", [(1000003, 1, 32.0), (3, 11, 37.1)])
