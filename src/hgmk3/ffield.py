@@ -15,23 +15,24 @@ an element is the integer c0 + c1*p + ... + c_{n-1}*p^(n-1) of its polynomial
 coordinates.  Prime-field codes are combined as integers mod p; extension-field
 codes through the exp/dlog/zech tables, so no loop runs over the n digits.
 
-`FieldSpec.element` is the one way an int, a Fraction (reduced mod p) or an
+`FieldSpec.element` is the only way an int, a Fraction (reduced mod p) or an
 element enters F_q; `FqElem`'s operators, `dlog`, `sqrt` and
 `quadratic_character` call it, so ints and Fractions are operands as they are.
+A float or a string is refused: `from_code`, `from_coeffs` and `parse_element`
+take codes, coefficient lists and CLI text.
 
 The quadratic character is `quadratic_character`; the absolute trace is
 `FieldSpec.trace_codes`, computed from the digits of a code, so no trace table is
 stored.  The package's integer work goes through three helpers
 here: `is_prime`, `factor` (trial division, for the bounded or smooth integers
 the package meets) and `prime_power`, which checks the 2^24 bound before it
-factors anything.  `FieldSpec.next_generator` is public API that only
-the tests call: it rebuilds the field on another generator, to show that
-results do not depend on the choice.
+factors anything.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -41,7 +42,7 @@ Q_MAX = 2**24  # table-resident bound
 
 # Entries per vectorised block of a length-q build: a block of int32 or complex
 # temporaries stays near 1.5 MB.  The field tables, charsum's Gauss table and
-# hyperg's weight fill and DFT are built a block at a time.
+# hyperg's weight DFT are built a block at a time.
 BLOCK = 1 << 16
 
 
@@ -337,13 +338,6 @@ class FieldSpec:
         self._build_tables()
         self.character_system = None
 
-    def next_generator(self):
-        """Field rebuilt with the next-larger generator (for independence checks)."""
-        for code in range(self.generator + 1, self.q):
-            if self._generates(code):
-                return FieldSpec(self.p, self.n, generator=code)
-        raise FieldConstructionError("no larger generator exists")
-
     # -- construction -------------------------------------------------------
 
     def _code_to_poly(self, code):
@@ -496,45 +490,32 @@ class FieldSpec:
     def one(self):
         return FqElem(self, 0)
 
-    def gen(self):
-        return FqElem(self, 1)
-
     def from_code(self, code):
-        code = int(code)
+        code = operator.index(code)
         if not 0 <= code < self.q:
             raise DomainError(f"code {code} out of range for q = {self.q}")
         if code == 0:
             return FqElem(self, None)
         return FqElem(self, int(self.dlog[code]))
 
-    def from_int(self, value):
-        return self.from_code(value % self.p)
-
     def from_coeffs(self, coeffs):
         if len(coeffs) > self.n:
             raise DomainError("coefficient list longer than the extension degree")
         return self.from_code(sum((c % self.p) * self.p**i for i, c in enumerate(coeffs)))
 
-    def from_rational(self, r):
-        r = Fraction(r)
-        if r.denominator % self.p == 0:
-            raise ReductionError(f"denominator of {r} is divisible by p = {self.p}")
-        num = r.numerator % self.p
-        den_inv = pow(r.denominator % self.p, -1, self.p)
-        return self.from_code((num * den_inv) % self.p)
-
     def element(self, value):
         """An element of this field as it is (one of another field is a ValueError),
-        an int by from_int, a Fraction by from_rational; anything else a TypeError."""
+        an int or a Fraction reduced mod p into the prime field (a denominator p
+        divides is a ReductionError); anything else a TypeError."""
         if isinstance(value, FqElem):
             if value.field != self:
                 raise ValueError("elements of different fields")
             return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        if isinstance(value, Fraction):
-            return self.from_rational(value)
-        raise TypeError(f"cannot coerce {value!r} into {self!r}")
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {value!r} into {self!r}")
+        if value.denominator % self.p == 0:  # an int's denominator is 1
+            raise ReductionError(f"denominator of {value} is divisible by p = {self.p}")
+        return self.from_code(value.numerator * pow(value.denominator, -1, self.p) % self.p)
 
     def elements(self):
         """All q elements, zero first then generator powers."""
@@ -651,6 +632,7 @@ class FqElem:
         return self.field.element(other) / self
 
     def __pow__(self, k):
+        k = operator.index(k)
         if self.e is None:
             if k <= 0:
                 raise DomainError("0^k with k <= 0")

@@ -49,7 +49,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .charsum import BLOCK, PrecisionError, _line_blocks, get_character_system
+from .charsum import PrecisionError, _line_blocks, get_character_system
 from .ffield import DomainError, dlog
 
 ROUNDING_THRESHOLD = 1e-3  # absolute
@@ -90,21 +90,26 @@ class HGDatum:
 
 
 def _cyclotomic_multiset(entries):
-    """Multiplicity of each Phi_d in prod (x - e^{2 pi i a}) for Galois-stable input."""
+    """Multiplicity of each Phi_d in prod (x - e^{2 pi i a}) for Galois-stable input.
+
+    The units r mod b are scanned lazily, up to the least one whose multiplicity is
+    not the largest.  A Galois-stable multiset holds all phi(b) >= sqrt(b/2) units,
+    so the scan runs over at most 2 k^2 residues for k entries of denominator b;
+    an unstable one stops at the latest at the first unit the entries miss.
+    """
     per_residue = {}
     for a in entries:
         per_residue.setdefault(a.denominator, Counter())[a.numerator] += 1
     mult = {}
     for b, residues in per_residue.items():
-        units = [r for r in range(b) if math.gcd(r, b) == 1] if b > 1 else [0]
-        counts = {residues.get(r, 0) for r in units}
-        if len(counts) != 1:
-            bad = min(r for r in units if residues.get(r, 0) != max(counts))
+        top = max(residues.values())
+        bad = next((r for r in range(b) if math.gcd(r, b) == 1 and residues[r] != top), None)
+        if bad is not None:
             raise DatumError(
                 f"parameters are not Galois-stable: residue {bad}/{b} has unequal multiplicity"
             )
-        mult[b] = counts.pop()
-    return {d: m for d, m in mult.items() if m}
+        mult[b] = top
+    return mult
 
 
 def _divisor_closure(ds):
@@ -192,8 +197,8 @@ def _weights(datum, cs):
     module docstring over r in [0, R/2], zero past R/2.
 
     Each row l of an L x (A B) array is first filled with w(R l + r),
-    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), in place, a block of contiguous m
-    at a time, each multiplier c read as strided views of the Gauss table.  One
+    w(m) = q^{-s0+s(m)} prod g(p m) prod g(-q m), in place, a whole row at a time,
+    each multiplier c read as strided views of the Gauss table.  One
     unnormalised L-point inverse DFT over l, in place a block of columns at a time
     (`charsum._line_blocks`), turns row l into row j.  T[j, R - r] = zeta_L^{-j}
     conj(T[j, r]), so the columns past R/2 are never stored; the self-paired columns
@@ -219,19 +224,17 @@ def _weights(datum, cs):
     kept = rs < H
     w[ls[kept], rs[kept]] = np.float_power(float(q), s[kept] - datum.s0())
     multipliers = Counter(datum.p_list + tuple(-qq for qq in datum.q_list))
-    for l in range(L):
-        for start in range(0, H, BLOCK):
-            seg = w[l, start:start + BLOCK]
-            m = R * l + start
-            for c, count in multipliers.items():
-                # g(c m mod N) over the block: a strided view of the table up to each wrap
-                # of c m past N or 0, at most |c| + 1 views as the block is at most N long
-                i = 0
-                while i < len(seg):
-                    g = cs.gauss[c * (m + i) % N :: c][: len(seg) - i]
-                    for _ in range(count):  # not g**count: same rounding as factor by factor
-                        seg[i : i + len(g)] *= g
-                    i += len(g)
+    for l, row in enumerate(w):
+        m = R * l
+        for c, count in multipliers.items():
+            # g(c m mod N) over the row: a strided view of the table up to each wrap of
+            # c m past N or 0, at most |c| + 1 views as the row is at most N long
+            i = 0
+            while i < H:
+                g = cs.gauss[c * (m + i) % N :: c][: H - i]
+                for _ in range(count):  # not g**count: same rounding as factor by factor
+                    row[i : i + len(g)] *= g
+                i += len(g)
     # norm="forward" leaves the inverse transform unscaled: sum_l T[l] zeta_L^{jl};
     # the zero columns past R/2 stay zero
     for piece in _line_blocks(T, 0):

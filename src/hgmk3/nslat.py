@@ -98,9 +98,6 @@ class GramLattice:
         pivots = self._pivot_tuple
         return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
 
-    def is_even(self):
-        return all(Fraction(self.entries[i][i]) % 2 == 0 for i in range(self.rank))
-
     def block(self, idx):
         return GramLattice(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
 

@@ -60,7 +60,7 @@ def test_f9_modulus_and_generator():
     assert f.modulus == [1, 0, 1]  # x^2 + 1, least in low-to-high lex order
     # generator is x+1 (code 4): (x+1)^4 = 2 != 1, order 8
     assert f.generator == 4
-    g = f.gen()
+    g = f.from_code(f.generator)
     assert (g**4).code == 2
     assert (g**8).code == 1
 
@@ -196,10 +196,10 @@ def test_numeric_layers_import_no_sympy(name):
 
 def test_dlog_examples():
     f7 = field_new(7)
-    assert dlog(f7, f7.from_int(2)) == 2  # 3^2 = 2
-    assert dlog(f7, f7.from_int(3)) == 1
+    assert dlog(f7, f7.element(2)) == 2  # 3^2 = 2
+    assert dlog(f7, f7.element(3)) == 1
     f5 = field_new(5)
-    assert dlog(f5, f5.from_int(4)) == 2  # 2^2 = 4
+    assert dlog(f5, f5.element(4)) == 2  # 2^2 = 4
     with pytest.raises(DomainError):
         dlog(f5, f5.zero())
 
@@ -208,20 +208,20 @@ def test_square_examples():
     f7 = field_new(7)
     squares = sorted({(x * x) % 7 for x in range(1, 7)})
     assert squares == [1, 2, 4]
-    assert quadratic_character(f7, f7.from_int(6)) == -1  # 6 = -1 mod 7
+    assert quadratic_character(f7, f7.element(6)) == -1  # 6 = -1 mod 7
     f5 = field_new(5)
-    assert quadratic_character(f5, f5.from_int(4)) == 1
-    assert sqrt(f5, f5.from_int(4)) == f5.from_int(2)
+    assert quadratic_character(f5, f5.element(4)) == 1
+    assert sqrt(f5, f5.element(4)) == f5.element(2)
     assert sqrt(f5, f5.zero()) == f5.zero()
-    assert sqrt(f5, f5.from_int(2)) is None
+    assert sqrt(f5, f5.element(2)) is None
 
 
 def test_sqrt_picks_smaller_exponent():
     f = field_new(13)
     for k in range(0, 12, 2):
-        r = sqrt(f, f.gen() ** k)
+        r = sqrt(f, f.from_code(f.generator) ** k)
         assert r.e == k // 2
-        assert r * r == f.gen() ** k
+        assert r * r == f.from_code(f.generator) ** k
 
 
 def test_trace_examples():
@@ -238,7 +238,7 @@ def test_dlog_roundtrip_full_table(p, n):
     f = field_new(p, n)
     if f.q > 2**10:
         pytest.skip("full-table check bounded at 2^10")
-    g = f.gen()
+    g = f.from_code(f.generator)
     acc = f.one()
     for k in range(f.q - 1):
         assert acc.e == k
@@ -274,7 +274,7 @@ def test_trace_linear_and_surjective(p, n):
     # F_p-scaling
     for x in elems:
         for c in range(p):
-            assert tr(x * f.from_int(c)) == (c * tr(x)) % p
+            assert tr(x * f.element(c)) == (c * tr(x)) % p
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
@@ -288,7 +288,7 @@ def test_frobenius_permutes_and_fixes_prime_field(p, n):
         if y == x:
             fixed.append(x.code)
     assert len(images) == f.q
-    assert sorted(fixed) == sorted(f.from_int(c).code for c in range(p))
+    assert sorted(fixed) == sorted(f.element(c).code for c in range(p))
 
 
 def test_element_arithmetic_roundtrips_both_views():
@@ -390,16 +390,38 @@ def test_irreducible_count_is_gauss_count(p, n):
 
 def test_rational_reduction():
     f = field_new(7)
-    assert f.from_rational(Fraction(81, 256)) == f.from_int(81 * pow(256, -1, 7))
+    assert f.element(Fraction(81, 256)) == f.element(81 * pow(256, -1, 7))
     with pytest.raises(ReductionError):
-        f.from_rational(Fraction(1, 7))
-    assert f.from_rational(Fraction(14, 3)).code == 0
+        f.element(Fraction(1, 7))
+    assert f.element(Fraction(14, 3)).code == 0
+
+
+def test_element_and_from_code_refuse_floats():
+    # a float or text is no parameter: element takes ints and Fractions, from_code
+    # integral codes (numpy integers among them)
+    f = field_new(7)
+    for value in (0.5, 2.0, "1/2"):
+        with pytest.raises(TypeError):
+            f.element(value)
+    assert f.from_code(np.int32(2)) == f.from_code(np.int64(2)) == f.element(2)
+    with pytest.raises(TypeError):
+        f.from_code(2.7)
+
+
+def test_powers_take_integral_exponents_only():
+    f = field_new(7)
+    x = f.element(3)
+    assert x ** np.int64(2) == x ** 2 == 2
+    for base in (x, f.zero()):
+        for k in (2.0, 0.5, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                base ** k
 
 
 def test_element_text_encoding():
     f7 = field_new(7)
-    assert f7.format_element(f7.from_int(5)) == "5"
-    assert f7.parse_element("5") == f7.from_int(5)
+    assert f7.format_element(f7.element(5)) == "5"
+    assert f7.parse_element("5") == f7.element(5)
     f9 = field_new(3, 2)
     x = f9.from_coeffs([2, 1])
     assert f9.format_element(x) == "[2,1]"

@@ -161,7 +161,7 @@ def test_bcm_and_trace_at_every_element_t(q):
 def test_nodal_pair_matches_the_closed_form(q):
     # the nodal cubics at s = +-r (r^2 = t/(t-1)) have q + 1 - chi(-2) points each
     f = _field_for(q)
-    closed_form = 2 * (q + 1 - quadratic_character(f, f.from_int(-2)))
+    closed_form = 2 * (q + 1 - quadratic_character(f, f.element(-2)))
     for code in range(2, q):  # t = 1 has no fibered count
         t = f.from_code(code)
         total, bd = count_elliptic_surface(f, t)
@@ -233,7 +233,7 @@ def test_affine_bad_reduction_rejected():
     with pytest.raises(BadReductionError):
         count_affine(f5, F(1, 5))
     with pytest.raises(ValueError, match="different fields"):
-        count_affine(f5, field_new(7).from_int(2))
+        count_affine(f5, field_new(7).element(2))
 
 
 @pytest.mark.parametrize("t", [0.5, "1/2"])
@@ -471,7 +471,7 @@ def test_non_cm_trace_equals_sym2_trace_when_S_rational():
 
     for q, t in [(7, 2), (11, 3), (13, 2), (19, 10)]:
         f = field_new(q)
-        tm = f.from_int(t)
+        tm = f.element(t)
         s2 = (tm - f.one()) / tm
         S = sqrt(f, s2)
         if S is None:

@@ -31,7 +31,7 @@ def test_standard_lattices():
     assert U.det() == -1
     assert E8_NEG.det() == 1
     assert E8_NEG.signature() == (0, 8)
-    assert E8_NEG.is_even()
+    assert all(E8_NEG.entries[i][i] % 2 == 0 for i in range(8))
 
 
 def test_direct_sum():
@@ -69,9 +69,11 @@ def test_ns_gram_generic():
     assert lat.signature() == (1, 18)
     # L1 block: O, f1..f7 span an even negative-definite unimodular lattice
     l1 = lat.block(range(0, 8))
-    assert l1.det() == 1 and l1.is_even() and l1.signature() == (0, 8)
+    assert l1.det() == 1 and l1.signature() == (0, 8)
+    assert all(l1.entries[i][i] % 2 == 0 for i in range(8))  # even
     l2 = lat.block(range(8, 16))
-    assert l2.det() == 1 and l2.is_even() and l2.signature() == (0, 8)
+    assert l2.det() == 1 and l2.signature() == (0, 8)
+    assert all(l2.entries[i][i] % 2 == 0 for i in range(8))  # even
     u1 = lat.block(range(16, 18))
     assert u1.entries == ((0, 1), (1, -2))
     assert u1.det() == -1
