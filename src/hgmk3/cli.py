@@ -5,15 +5,16 @@ Each record is a `k3count.CheckReport`, the type the library verifiers
 return, printed in RECORD_FIELDS order by `emit_records` (CSV fields that hold
 a comma are quoted).  Records are sorted by (check, q, t, name) and carry
 first-class skip reasons, so grid coverage is auditable and reruns of the same
-command are byte-identical (only `verify maps|qt` sample, from --seed).  A
-grid holds each q and each t once and may not be empty.  The grid verbs
+command are byte-identical (only `verify maps|qt` sample, from --seed, and no
+record holds a wall-clock value).  A rational is `num` or `num/den` in ASCII
+digits.  A grid holds each q and each t once and may not be empty.  The grid verbs
 (`verify bcm|lemma|trace|main|all` and `verify curve-theorem`) share one loop,
 `_run_grid`, which builds each field of the grid once, in this process.  The
 single-field verbs take the prime `--p` and the degree `--n` and build F_{p^n}
 as given.  The verifiers fetch the Gauss table cached on their field, and only
 `gauss-check` asks for one itself.  Exit codes: 0 all pass, 1 any failure (a
 failed certification prints one `certification failed: ...` line), 2 usage
-error (a malformed or out-of-domain argument, such as `--t abc`).
+error (a malformed or out-of-domain argument, such as `--t abc` or `--t 1e3`).
 """
 
 from __future__ import annotations
@@ -22,19 +23,19 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
-import time
 from fractions import Fraction
 from functools import cache
 
 from .ffield import Q_MAX, factor, field_new, prime_power
 from .k3count import CheckReport
 
-SCHEMA_VERSION = "hgmk3/1"
+SCHEMA_VERSION = "hgmk3/2"
 
 RECORD_FIELDS = (
     "check", "q", "t", "name", "pass", "skipped", "reason",
-    "lhs", "rhs", "residual", "time_ms",
+    "lhs", "rhs", "residual",
 )
 
 CHECK_CHOICES = ("bcm", "lemma", "trace", "main")
@@ -45,7 +46,8 @@ class UsageError(ValueError):
 
 
 def report_schema():
-    """Stable record schema; the CSV header is the JSON field order."""
+    """Stable record schema (`hgmk3/2`: `hgmk3/1` without its wall-clock field); the
+    CSV header is the JSON field order."""
     return {
         "schema": SCHEMA_VERSION,
         "fields": list(RECORD_FIELDS),
@@ -76,8 +78,13 @@ def parse_q_list(text):
 
 
 def parse_rational_list(text):
+    """Comma-separated `[+-]digits` or `[+-]digits/digits` in ASCII digits, empty items
+    dropped; `1e3`, `0.5` or `1_000` is a UsageError, so no exponent is expanded."""
+    parts = [part for part in text.split(",") if part.strip()]
     try:
-        return tuple(Fraction(part) for part in text.split(",") if part.strip())
+        if not all(re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", part) for part in parts):
+            raise ValueError("each item must be num or num/den")
+        return tuple(Fraction(part) for part in parts)
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad rational list {text!r}: {e}") from None
 
@@ -236,11 +243,7 @@ def cmd_verify_counts(args, out):
     def cells(field):
         for check in checks:
             for t in t_list:
-                start = time.perf_counter()
-                rep = runners[check](field, t)
-                if args.timings:
-                    rep.time_ms = round((time.perf_counter() - start) * 1000.0, 3)
-                yield rep
+                yield runners[check](field, t)
 
     return _run_grid(q_list, cells, args.format, out)
 
@@ -402,13 +405,14 @@ def _add_sweep_args(p):
     p.add_argument("--q", type=str, default=None, help="explicit comma-separated q list")
     p.add_argument("--t", type=str, required=True, help="comma-separated rationals")
     p.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
-    p.add_argument("--timings", action="store_true")
 
 
 def _add_sampler_args(p):
-    """The settings of `verify maps|qt`; the defaults are those of geomver.sz."""
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20259)
+    """The settings of `verify maps|qt`, with geomver.sz's defaults."""
+    from .geomver.sz import DEFAULT_SEED, DEFAULT_TRIALS
+
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 @cache

@@ -76,7 +76,6 @@ class CheckReport:
     lhs: object = None
     rhs: object = None
     residual: float = None
-    time_ms: float = None
     detail: dict = dc_field(default_factory=dict)
 
 
@@ -88,7 +87,7 @@ def delta_if_square(value, tested):
 def count_affine(field, t, mode="solved-z"):
     """|V_t(F_q)| for xyz(1-(x+y+z)) = 1/(256t).
 
-    mode "naive": literal evaluation, read off `_naive_histogram` at the code of a.
+    mode "naive", set by surface_count_report: literal evaluation, `_naive_histogram` at a.
     mode "solved-z": for each (x, y) with xy != 0 the equation is quadratic in z;
     roots counted as 1 + chi(disc) with chi(0) = 0 adding the double root once.
     """
@@ -263,12 +262,11 @@ def trace_transcendental(field, t):
     return T
 
 
-def _gauss_expression(field, t, cs=None):
+def _gauss_expression(field, t):
     """-1/q + 1/(q(q-1)) sum_m g(4m) g(-m)^4 omega(1/(256t))^m as (nearest, residual),
     certified by hyperg.round_certified.  The weights g(4m) g(-m)^4 over the whole
-    line are cached on the CharacterSystem beside hyperg's weight arrays."""
-    if cs is None:
-        cs = get_character_system(field)
+    line are cached on the field's CharacterSystem beside hyperg's weight arrays."""
+    cs = get_character_system(field)
     z = 1 / (256 * _t_nonzero(field, t))
     q = field.q
     N = q - 1
@@ -280,14 +278,14 @@ def _gauss_expression(field, t, cs=None):
     return round_certified(-1 / q + total / (q * (q - 1)), q)
 
 
-def verify_bcm_identity(field, t, cs=None):
+def verify_bcm_identity(field, t):
     """count_affine == (q-1)^3/q + Gauss expression, exactly after certified rounding."""
     q = field.q
     try:
         lhs = count_affine(field, t)
     except BadReductionError as e:
         return CheckReport("bcm", q, t, skipped=True, reason=str(e))
-    nearest, residual = _gauss_expression(field, t, cs)
+    nearest, residual = _gauss_expression(field, t)
     # ((q-1)^3 + 1)/q = q^2 - 3q + 3 exactly, absorbing the -1/q of the sum side
     rhs = (q * q - 3 * q + 3) + nearest
     return CheckReport(
@@ -311,15 +309,15 @@ def verify_point_count_lemma(field, t):
     )
 
 
-def verify_trace_corollary(field, t, cs=None):
+def verify_trace_corollary(field, t):
     """T == Gauss expression == H3(1/t), all exactly after certified rounding."""
     q = field.q
     try:
         T = trace_transcendental(field, t)
     except BadReductionError as e:
         return CheckReport("trace", q, t, skipped=True, reason=str(e))
-    nearest, residual = _gauss_expression(field, t, cs)
-    h3 = hg_H3(field, 1 / _t_mod(field, t), cs=cs)
+    nearest, residual = _gauss_expression(field, t)
+    h3 = hg_H3(field, 1 / _t_mod(field, t))
     return CheckReport(
         "trace", q, t,
         passed=T == nearest == h3,

@@ -238,22 +238,17 @@ def fiber_class_vector():
 class SectionProfile:
     """Intersection pattern of an optimal extra section with the named curves.
 
-    An optimal generator meets f7 once and gamma1 not at all, so those two
-    bits are not fields.
+    An optimal generator meets f7 once, gamma1 not at all and exactly one of
+    gamma0, gamma2 and gamma3, so only p_g2 and p_g3 of those bits are fields.
     """
 
     p_O: int = 0
     p_e7: int = 0
-    p_g0: int = None
     p_g2: int = 0
     p_g3: int = 0
 
     def __post_init__(self):
-        g0 = self.p_g0
-        if g0 is None:
-            g0 = 1 - self.p_g2 - self.p_g3
-            object.__setattr__(self, "p_g0", g0)
-        if sorted((g0, self.p_g2, self.p_g3)) != [0, 0, 1]:
+        if (self.p_g2, self.p_g3) not in ((0, 0), (1, 0), (0, 1)):
             raise LatticeError("the section meets exactly one 4-cycle component")
         if self.p_e7 not in (0, 1):
             raise LatticeError("p_e7 is a 0/1 intersection bit")

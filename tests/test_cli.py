@@ -33,11 +33,13 @@ def run(argv):
 
 def test_report_schema():
     schema = report_schema()
-    assert schema["schema"] == "hgmk3/1"
-    assert "residual" in schema["fields"]
+    assert schema["schema"] == "hgmk3/2"
+    assert "residual" in schema["fields"] and "time_ms" not in schema["fields"]
+    assert len(schema["fields"]) == len(RECORD_FIELDS) == 10
     assert schema["csv_header"] == ",".join(RECORD_FIELDS)
     code, out = run(["report-schema"])
-    assert code == 0 and "hgmk3/1" in out
+    assert code == 0 and json.loads(out) == schema
+    assert '"hgmk3/2"' in out
 
 
 def test_odd_prime_powers():
@@ -48,8 +50,16 @@ def test_parse_rational_list():
     from fractions import Fraction
 
     assert parse_rational_list("2,3,5/2") == (Fraction(2), Fraction(3), Fraction(5, 2))
+    assert parse_rational_list("-9/16,4/2,+3") == (Fraction(-9, 16), Fraction(2), Fraction(3))
+    assert parse_rational_list(" 2 , -1/3 ,") == (Fraction(2), Fraction(-1, 3))
     with pytest.raises(UsageError):
         parse_rational_list("1/0")
+    # only [+-]digits or [+-]digits/digits in ASCII digits: no decimal point, exponent,
+    # underscore, inner space or non-ASCII digit, so "1eN" is never expanded to 10^N
+    for text in ("1e3", "0.25", ".5", "5.", "1_000", "2.5", "1/2e1", "1E9", "2 / 3",
+                 "0x10", "inf", "nan", "\u0661", "2,1e3", "--1"):
+        with pytest.raises(UsageError, match="each item must be num or num/den"):
+            parse_rational_list(text)
 
 
 def test_empty_t_list_is_usage_error(capsys):
@@ -108,7 +118,7 @@ def test_verify_sweep_passes_and_skips():
     records = [json.loads(line) for line in out.splitlines()]
     assert all(r["pass"] for r in records)
     assert any(r["skipped"] for r in records)  # q = 3, 9 cells and nonsquare cells
-    assert all(r["time_ms"] is None for r in records)
+    assert not any("time_ms" in r for r in records)
 
 
 def test_verify_extension_field_cell():
@@ -124,19 +134,6 @@ def test_sweep_determinism():
     code2, out2 = run(argv)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_timings_change_only_time_ms():
-    argv = ["verify", "all", "--q", "7,9", "--t", "2,81/256"]
-    code, plain = run(argv)
-    timed_code, timed = run(argv + ["--timings"])
-    assert code == timed_code == 0
-    plain = [json.loads(line) for line in plain.splitlines()]
-    timed = [json.loads(line) for line in timed.splitlines()]
-    assert len(timed) == len(plain) == 4 * 2 * 2  # checks x q x t
-    for untimed, rec in zip(plain, timed):
-        assert isinstance(rec["time_ms"], float) and rec["time_ms"] >= 0
-        assert {**rec, "time_ms": None} == untimed
 
 
 def test_csv_output_matches_field_order():
@@ -165,7 +162,7 @@ def test_verify_maps_stdout_is_pinned():
     code, out = run(["verify", "maps", "--trials", "1"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cdc16c1852044c9aaf0d8fd6ef37619fd27595aba479298e991709f4b558230b")
+        "fc66c99dc260a663352b99dd532f6bad84769b5af9a60768dcb61c8145fc6d77")
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -284,6 +281,20 @@ def test_lattice_verbs():
     assert len(rows) == 15 and all(r["pass"] for r in rows)
 
 
+def test_lattice_cm_stdout_is_pinned():
+    # every profile meeting one 4-cycle component, at p_O = 0, 1, 2: the exit code and
+    # stdout of each (an inadmissible profile exits 2 with nothing on stdout)
+    outs = []
+    for po in ("0", "1", "2"):
+        for pe7 in ("0", "1"):
+            for pg2, pg3 in (("0", "0"), ("1", "0"), ("0", "1")):
+                code, out = run(["lattice", "cm", "--po", po, "--pe7", pe7,
+                                 "--pg2", pg2, "--pg3", pg3])
+                outs.append(f"{code}:{out}")
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "bce3a6e37bdccc0e40d837f11a9a4b7d2be609bd589ccff9d760d744fa88571b")
+
+
 def test_cm_verbs():
     code, out = run(["cm", "classify", "--t", "81/256"])
     assert code == 0
@@ -361,10 +372,12 @@ def test_sweep_verbs_take_no_seed():
         with pytest.raises(SystemExit) as exc:
             main(["verify", which, "--q", "7", "--t", "2", "--seed", "3"])
         assert exc.value.code == 2
-    # a sweep runs in this process; there is no --jobs
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", "--q", "7", "--t", "2", "--jobs", "2"])
-    assert exc.value.code == 2
+    # a sweep runs in this process; there is no --jobs, and no --timings: a record
+    # holds no wall-clock value
+    for option in (["--jobs", "2"], ["--timings"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--q", "7", "--t", "2"] + option)
+        assert exc.value.code == 2
     # si-params, x0-2 and the CM classification are exact proofs, so they take no seed either
     for argv in (["verify", "si-params"], ["verify", "x0-2"], ["cm", "verify"]):
         with pytest.raises(SystemExit) as exc:
@@ -417,6 +430,16 @@ def test_bad_q_is_a_usage_error(argv):
     ["fibration", "profile", "--model", "inose", "--t", "1/0"],
     ["cm", "classify", "--t", "1/0"],
     ["cm", "survey", "--t", "x"],
+    # a rational is num or num/den: no decimal point, exponent or underscore
+    ["verify", "main", "--q", "7", "--t", "1e3"],
+    ["verify", "bcm", "--q", "7", "--t", "1_000"],
+    ["verify", "all", "--q", "7", "--t", "2,0.5"],
+    ["hgsum", "--alpha", "0.25,0.5,0.75", "--beta", "0,0,0", "--p", "7", "--t", "2"],
+    ["hgsum", "--alpha", "1/4,1/2,3/4", "--beta", "0,0,0e0", "--p", "7", "--t", "2"],
+    ["count", "surface", "--p", "7", "--t", "2.5"],
+    ["fibration", "profile", "--model", "inose", "--t", "0.3164"],
+    ["cm", "classify", "--t", "1e2"],
+    ["cm", "survey", "--t", "1.0", "--pmax", "11"],
     ["hgsum", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "1/2"],  # not an element
     ["curve", "count", "--p", "7", "--a2", "x", "--a4", "1", "--a6", "1"],
     # the 2^24 bound comes before any enumeration or factoring

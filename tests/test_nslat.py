@@ -1,5 +1,6 @@
 """Lattice toolkit: generic NS Gram, heights, admissibility, U^2 complements."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -97,8 +98,15 @@ def test_p_T_relation_examples():
 
 
 def test_profile_invariants():
-    with pytest.raises(LatticeError):
-        SectionProfile(p_g2=1, p_g3=1)
+    # gamma0's bit is 1 - p_g2 - p_g3, so exactly one of gamma0, gamma2, gamma3 is met
+    for p_e7, p_g2, p_g3 in itertools.product((0, 1), (0, 1, 2), (0, 1, 2)):
+        if (p_g2, p_g3) in ((0, 0), (1, 0), (0, 1)):
+            prof = SectionProfile(p_e7=p_e7, p_g2=p_g2, p_g3=p_g3)
+            assert (prof.p_e7, prof.p_g2, prof.p_g3) == (p_e7, p_g2, p_g3)
+        else:
+            with pytest.raises(LatticeError,
+                               match="^the section meets exactly one 4-cycle component$"):
+                SectionProfile(p_e7=p_e7, p_g2=p_g2, p_g3=p_g3)
     with pytest.raises(LatticeError):
         SectionProfile(p_O=-1)
 
