@@ -6,15 +6,16 @@ return, printed in RECORD_FIELDS order by `emit_records` (CSV fields that hold
 a comma are quoted).  Records are sorted by (check, q, t, name) and carry
 first-class skip reasons, so grid coverage is auditable and reruns of the same
 command are byte-identical (only `verify maps|qt` sample, from --seed, and no
-record holds a wall-clock value).  A rational is `num` or `num/den` in ASCII
-digits.  A grid holds each q and each t once and may not be empty.  The grid verbs
+record holds a wall-clock value).  Every number is read in ASCII digits: an integer
+(an option, a q, a coefficient) by `parse_int`, a rational as an integer or
+`integer/digits`.  A grid holds each q and each t once and may not be empty.  The grid verbs
 (`verify bcm|lemma|trace|main|all` and `verify curve-theorem`) share one loop,
 `_run_grid`, which builds each field of the grid once, in this process.  The
 single-field verbs take the prime `--p` and the degree `--n` and build F_{p^n}
 as given.  The verifiers fetch the Gauss table cached on their field, and only
 `gauss-check` asks for one itself.  Exit codes: 0 all pass, 1 any failure (a
 failed certification prints one `certification failed: ...` line), 2 usage
-error (a malformed or out-of-domain argument, such as `--t abc` or `--t 1e3`).
+error (a malformed or out-of-domain argument, such as `--t 1e3` or `--p 1_3`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 
@@ -39,6 +41,8 @@ RECORD_FIELDS = (
 )
 
 CHECK_CHOICES = ("bcm", "lemma", "trace", "main")
+
+_INT = r"[+-]?[0-9]+"  # ASCII digits only: no `_`, no other script's digits
 
 
 class UsageError(ValueError):
@@ -66,23 +70,28 @@ def odd_prime_powers(lo, hi):
     return tuple(q for q in range(max(3, lo), hi + 1) if q % 2 and len(factor(q)) == 1)
 
 
+def parse_int(text):
+    """`[+-]digits` in ASCII digits, whitespace around it allowed; `1_3` is a UsageError.
+    In a comma-separated list of integers or rationals, empty items are dropped."""
+    with suppress(ValueError):  # int() also refuses more digits than its limit
+        if re.fullmatch(rf"\s*{_INT}\s*", text):
+            return int(text)
+    raise UsageError(f"bad integer {text!r}")
+
+
 def parse_q_list(text):
-    """A comma-separated list of odd prime powers up to the field bound, without repeats."""
-    try:
-        q_list = tuple(dict.fromkeys(int(part) for part in text.split(",")))
-    except ValueError:
-        raise UsageError(f"bad q list {text!r}") from None
+    """Integers, each an odd prime power up to the field bound, repeats kept once."""
+    q_list = tuple(dict.fromkeys(parse_int(item) for item in text.split(",") if item.strip()))
     for q in q_list:
         prime_power(q)
     return q_list
 
 
 def parse_rational_list(text):
-    """Comma-separated `[+-]digits` or `[+-]digits/digits` in ASCII digits, empty items
-    dropped; `1e3`, `0.5` or `1_000` is a UsageError, so no exponent is expanded."""
+    """Integers or `integer/digits`; `1e3` or `0.5` is a UsageError, so no exponent is expanded."""
     parts = [part for part in text.split(",") if part.strip()]
     try:
-        if not all(re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", part) for part in parts):
+        if not all(re.fullmatch(rf"\s*{_INT}(/[0-9]+)?\s*", part) for part in parts):
             raise ValueError("each item must be num or num/den")
         return tuple(Fraction(part) for part in parts)
     except (ValueError, ZeroDivisionError) as e:
@@ -97,6 +106,13 @@ def parse_rational(text):
     return values[0]
 
 
+def parse_field_element(field, text):
+    """An integer, or one bracketed list `[c0,c1,...]` of at least one, as an element."""
+    listed = re.fullmatch(r"\s*\[(.*)\]\s*", text)
+    items = [item for item in listed[1].split(",") if item.strip()] if listed else []
+    return field.from_coeffs([parse_int(item) for item in items or [text]])  # "[]" is no int
+
+
 def _field_for(q):
     """The field of order q, after checking that q is an odd prime power."""
     return field_new(*prime_power(q))
@@ -106,6 +122,8 @@ def _run_grid(q_list, cells, fmt, out):
     """Emit the records that `cells(field)` yields for each field of the grid,
     sorted; returns the exit code.  Each field is built once, in increasing q,
     and dropped after its cells."""
+    if not q_list:
+        raise UsageError("empty q grid")
     records = [r for q in sorted(q_list) for r in cells(_field_for(q))]
     return _emit_sorted(records, fmt, out)
 
@@ -175,7 +193,7 @@ def cmd_hgsum(args, out):
 
     datum = datum_from_parameters(parse_rational_list(args.alpha), parse_rational_list(args.beta))
     f = field_new(args.p, args.n)
-    got = hg_sum(datum, f, f.parse_element(args.t))
+    got = hg_sum(datum, f, parse_field_element(f, args.t))
     _jdump({
         "q": f.q,
         "t": args.t,
@@ -187,12 +205,10 @@ def cmd_hgsum(args, out):
 
 
 def cmd_curve_count(args, out):
-    from .ecount import WeierstrassCurve, count_points, trace
+    from .ecount import WeierstrassCurve, count_points
 
     f = field_new(args.p, args.n)
-    curve = WeierstrassCurve(
-        f.parse_element(args.a2), f.parse_element(args.a4), f.parse_element(args.a6), f
-    )
+    curve = WeierstrassCurve(*(parse_field_element(f, a) for a in (args.a2, args.a4, args.a6)), f)
     n = count_points(curve)
     _jdump({"q": f.q, "count": n, "trace": f.q + 1 - n}, out)
     return 0
@@ -220,8 +236,6 @@ def cmd_verify_counts(args, out):
     checks = CHECK_CHOICES if args.which == "all" else (args.which,)
     q_list = parse_q_list(args.q) if args.q else odd_prime_powers(args.pmin, args.pmax)
     t_list = tuple(dict.fromkeys(parse_rational_list(args.t)))  # each t once
-    if not q_list:
-        raise UsageError("empty q grid")
     if not t_list:
         raise UsageError("empty t list")
     if 0 in t_list:
@@ -395,13 +409,13 @@ def cmd_report_schema(args, out):
 # ---------------------------------------------------------------------------
 
 def _add_field_args(p):
-    p.add_argument("--p", type=int, required=True, help="the prime")
-    p.add_argument("--n", type=int, default=1, help="the extension degree")
+    p.add_argument("--p", type=parse_int, required=True, help="the prime")
+    p.add_argument("--n", type=parse_int, default=1, help="the extension degree")
 
 
 def _add_sweep_args(p):
-    p.add_argument("--pmin", type=int, default=3)
-    p.add_argument("--pmax", type=int, default=50)
+    p.add_argument("--pmin", type=parse_int, default=3)
+    p.add_argument("--pmax", type=parse_int, default=50)
     p.add_argument("--q", type=str, default=None, help="explicit comma-separated q list")
     p.add_argument("--t", type=str, required=True, help="comma-separated rationals")
     p.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
@@ -411,8 +425,8 @@ def _add_sampler_args(p):
     """The settings of `verify maps|qt`, with geomver.sz's defaults."""
     from .geomver.sz import DEFAULT_SEED, DEFAULT_TRIALS
 
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=parse_int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
 
 
 @cache
@@ -489,10 +503,10 @@ def build_parser():
     l = lsub.add_parser("ns-generic")
     l.set_defaults(func=cmd_lattice)
     l = lsub.add_parser("cm")
-    l.add_argument("--pe7", type=int, default=0)
-    l.add_argument("--pg2", type=int, default=0)
-    l.add_argument("--pg3", type=int, default=0)
-    l.add_argument("--po", type=int, default=0)
+    l.add_argument("--pe7", type=parse_int, default=0)
+    l.add_argument("--pg2", type=parse_int, default=0)
+    l.add_argument("--pg3", type=parse_int, default=0)
+    l.add_argument("--po", type=parse_int, default=0)
     l.set_defaults(func=cmd_lattice)
     l = lsub.add_parser("table5")
     l.set_defaults(func=cmd_lattice)
@@ -506,7 +520,7 @@ def build_parser():
     m.set_defaults(func=cmd_cm)
     m = msub.add_parser("survey")
     m.add_argument("--t", required=True)
-    m.add_argument("--pmax", type=int, default=50)
+    m.add_argument("--pmax", type=parse_int, default=50)
     m.set_defaults(func=cmd_cm)
 
     p = sub.add_parser("report-schema")

@@ -17,7 +17,7 @@ from importlib import resources
 
 from sympy import QQ, ring
 
-from .ffield import Q_MAX, DomainError, FieldConstructionError, factor, is_prime
+from .ffield import Q_MAX, DomainError, FieldConstructionError, as_rational, factor, is_prime
 from .geomver import j_invariants_pair, j_pair_coefficients
 from .k3count import CheckReport
 
@@ -53,7 +53,7 @@ def ns_lattice_rows():
 
 def chi_discriminant(t):
     """The fixture D of the quadratic character attached to a rank-20 parameter."""
-    t = Fraction(t)
+    t = as_rational(t)
     for rows in (rational_cm_rows(), quadratic_cm_rows()):
         if t in rows:
             return rows[t]["chi_D"]
@@ -66,7 +66,7 @@ def squarefree_part(r):
     num*den is factored by trial division, which is quick for the fixture's
     values of t(t-1): every one is 37-smooth.
     """
-    r = Fraction(r)
+    r = as_rational(r)
     if r == 0:
         raise ValueError("squarefree part of 0")
     out = -1 if r < 0 else 1
@@ -78,7 +78,7 @@ def squarefree_part(r):
 
 def classify_t(t):
     """'cm_rational_j' on S1, 'cm_quadratic_j' on S2, else 'generic'."""
-    t = Fraction(t)
+    t = as_rational(t)
     if t == 0:
         raise DomainError("t = 0")
     if t in s1_values():
@@ -170,7 +170,7 @@ def cm_trace_survey(t, p_max):
 
     if p_max > Q_MAX:
         raise FieldConstructionError(f"pmax = {p_max} exceeds the table-resident bound 2^24")
-    t = Fraction(t)
+    t = as_rational(t)
     if classify_t(t) == "generic":
         raise DomainError(f"t = {t} is not a rank-20 parameter")
     D = chi_discriminant(t)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import DomainError, FieldSpec, factor, quadratic_character
+from .ffield import DomainError, FieldSpec, as_rational, factor, quadratic_character
 from .hyperg import hg_H2
 
 
@@ -242,7 +242,7 @@ def curve_pair(S):
 
 def e1_e2(t, S, field=None):
     """The curve pair over Q (field None) or F_q; S must satisfy S^2 = (t-1)/t there."""
-    elem = Fraction if field is None else field.element  # into Q or F_q
+    elem = as_rational if field is None else field.element  # into Q or F_q
 
     t, S = elem(t), elem(S)
     if t == 0:

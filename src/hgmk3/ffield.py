@@ -18,8 +18,8 @@ codes through the exp/dlog/zech tables, so no loop runs over the n digits.
 `FieldSpec.element` is the only way an int, a Fraction (reduced mod p) or an
 element enters F_q; `FqElem`'s operators, `dlog`, `sqrt` and
 `quadratic_character` call it, so ints and Fractions are operands as they are.
-A float or a string is refused: `from_code`, `from_coeffs` and `parse_element`
-take codes, coefficient lists and CLI text.
+`as_rational`, which it calls, is the package's one way into Q: a float or a
+string is a TypeError.  `from_code` and `from_coeffs` take codes and coefficients.
 
 The quadratic character is `quadratic_character`; the absolute trace is
 `FieldSpec.trace_codes`, computed from the digits of a code, so no trace table is
@@ -56,6 +56,13 @@ class DomainError(ValueError):
 
 class ReductionError(ZeroDivisionError):
     """Raised when a rational cannot be reduced into F_q (p divides a denominator)."""
+
+
+def as_rational(value):
+    """An int or a Fraction as a Fraction; anything else (a float, a string) is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -511,30 +518,10 @@ class FieldSpec:
             if value.field != self:
                 raise ValueError("elements of different fields")
             return value
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot coerce {value!r} into {self!r}")
-        if value.denominator % self.p == 0:  # an int's denominator is 1
+        value = as_rational(value)
+        if value.denominator % self.p == 0:
             raise ReductionError(f"denominator of {value} is divisible by p = {self.p}")
         return self.from_code(value.numerator * pow(value.denominator, -1, self.p) % self.p)
-
-    def elements(self):
-        """All q elements, zero first then generator powers."""
-        yield self.zero()
-        for k in range(self.q - 1):
-            yield FqElem(self, k)
-
-    def parse_element(self, text):
-        """CLI/JSON encoding: an integer for prime fields, "[c0,c1,...]" otherwise;
-        any other text is a DomainError."""
-        text = text.strip()
-        parts = [text]
-        if text.startswith("["):
-            parts = [c for c in text.strip("[]").split(",") if c.strip()]
-        try:
-            coeffs = [int(c) for c in parts]
-        except ValueError:
-            raise DomainError(f"{text!r} is neither an integer nor [c0,c1,...]") from None
-        return self.from_coeffs(coeffs)  # an integer is its own constant coefficient
 
     def format_element(self, x):
         if self.n == 1:

@@ -26,6 +26,7 @@ from sympy import QQ
 from sympy.polys.fields import field
 
 from ..ecount import WeierstrassCurve, e1_e2
+from ..ffield import as_rational
 from .maps import FIBRATIONS
 
 # QQ(s), the field the fibrations are built over; its ring QQ[s] holds the profiles
@@ -167,7 +168,7 @@ EXPECTED_TYPES = {
 
 def kodaira_profile(model, t):
     """Vanishing orders and inferred types at every place of bad reduction."""
-    t = Fraction(t)
+    t = as_rational(t)
     if model not in MODELS:
         raise FibrationError(f"unknown model {model!r}; have {sorted(MODELS)}")
     if t == 0:
@@ -247,7 +248,7 @@ def j_pair_coefficients(t):
 
 def j_invariants_pair(t):
     """The j-pair of t as an exact JPair (`j_pair_coefficients` over Q)."""
-    t = Fraction(t)
+    t = as_rational(t)
     if t == 0:
         raise ValueError("t = 0")
     A, B = j_pair_coefficients(t)
@@ -257,10 +258,9 @@ def j_invariants_pair(t):
 def j_match_check(field, t, S):
     """The mod-q j-invariants of the curve pair match the exact pair formula.
 
-    t is an exact rational, S an element with S^2 = (t-1)/t; the radical
+    t is an int or a Fraction, S an element with S^2 = (t-1)/t; the radical
     sqrt(t(t-1)) is realised as t*S.
     """
-    t = Fraction(t)
     radical = field.element(t) * S
     e1, e2 = e1_e2(t, S, field)
     pair = j_invariants_pair(t)

@@ -50,7 +50,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .charsum import PrecisionError, _line_blocks, get_character_system
-from .ffield import DomainError, dlog
+from .ffield import DomainError, as_rational, dlog
 
 ROUNDING_THRESHOLD = 1e-3  # absolute
 
@@ -123,8 +123,7 @@ def _divisor_closure(ds):
 
 def datum_from_parameters(alpha, beta):
     """Compile (alpha, beta) into the integer datum; raises DatumError when invalid."""
-    alpha = tuple(sorted(Fraction(a) for a in alpha))
-    beta = tuple(sorted(Fraction(b) for b in beta))
+    alpha, beta = (tuple(sorted(map(as_rational, params))) for params in (alpha, beta))
     if len(alpha) != len(beta):
         raise DatumError("alpha and beta must have equal length")
     if not alpha:

@@ -15,9 +15,13 @@ from hgmk3.cli import (
     build_parser,
     main,
     odd_prime_powers,
+    parse_field_element,
+    parse_int,
+    parse_q_list,
     parse_rational_list,
     report_schema,
 )
+from hgmk3.ffield import field_new
 from hgmk3.hyperg import IntegrityError
 
 
@@ -60,6 +64,39 @@ def test_parse_rational_list():
                  "0x10", "inf", "nan", "\u0661", "2,1e3", "--1"):
         with pytest.raises(UsageError, match="each item must be num or num/den"):
             parse_rational_list(text)
+
+
+def test_integer_and_q_list_grammar(capsys):
+    assert [parse_int(text) for text in ("13", "+13", " 13 ", "-3", "007")] == [13, 13, 13, -3, 7]
+    # ASCII digits only: no underscore, decimal point, exponent, inner space or other
+    # script's digits, and no more digits than int() reads
+    for text in ("1_3", "\u0661\u0663", "13.0", "1e3", "", " ", "+-1", "- 3", "0x10",
+                 "[1]", "1" * 5000):
+        with pytest.raises(UsageError, match="bad integer"):
+            parse_int(text)
+    # empty items are dropped, as in a rational list; repeats are kept once
+    assert parse_q_list("7,,9") == parse_q_list(" 7 , 9 ,") == parse_q_list("7,9,7") == (7, 9)
+    # a q list of no items is an empty grid on both grid verbs
+    for text in (",", " , "):
+        for argv in (["verify", "curve-theorem", "--q", text],
+                     ["verify", "bcm", "--q", text, "--t", "2"]):
+            code, out = run(argv)
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == "usage error: empty q grid\n"
+
+
+def test_element_text_encoding():
+    # an integer, or one bracketed list of at least one integer (empty items dropped)
+    f7 = field_new(7)
+    assert parse_field_element(f7, "5") == f7.element(5)
+    assert parse_field_element(f7, " -2 ") == parse_field_element(f7, "[5]") == f7.element(5)
+    f9 = field_new(3, 2)
+    x = f9.from_coeffs([2, 1])
+    assert parse_field_element(f9, "[2,1]") == x
+    assert parse_field_element(f9, " [ 2 , 1 ] ") == parse_field_element(f9, "[2,,1]") == x
+    for text in ("[1,2", "1,2]", "[[1,2]]", "[1,2]]", "[1_0,2]", "[]", "[,]", "2,1", "x"):
+        with pytest.raises(UsageError):
+            parse_field_element(f9, text)
 
 
 def test_empty_t_list_is_usage_error(capsys):
@@ -593,3 +630,76 @@ def _all_subparsers(parser):
             for sub in action.choices.values():
                 yield sub
                 yield from _all_subparsers(sub)
+
+
+def test_every_integer_option_reads_ascii_digits():
+    actions = [a for sub in _all_subparsers(build_parser()) for a in sub._actions]
+    assert [a.dest for a in actions if a.type is int] == []
+    assert {a.option_strings[0] for a in actions if a.type is parse_int} == {
+        "--p", "--n", "--pmin", "--pmax", "--trials", "--seed", "--pe7", "--pg2", "--pg3", "--po"}
+
+
+def run_to_exit(argv):
+    """(exit code, stdout) of a command, whether argparse or the verb ends it."""
+    buf = io.StringIO()
+    try:
+        code = main(argv, out=buf)
+    except SystemExit as exc:
+        code = exc.code
+    return code, buf.getvalue()
+
+
+HGSUM = ["hgsum", "--alpha", "1/4,1/2,3/4", "--beta", "0,0,0"]
+
+
+# each text in a slot that reads an integer, a q list or a field element; the fields
+# are F_{3^2} and F_{7^2}, where the parent read "[1,2", "[[1,2]]" and "[]" as elements
+@pytest.mark.parametrize("text", ["1_3", "\u0661\u0663", "13.0", "1e3", "[1,2", "[[1,2]]", "[]"])
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--p", "{}"],
+    ["verify", "bcm", "--q", "{}", "--t", "2"],
+    ["verify", "bcm", "--pmax", "{}", "--t", "2"],
+    ["verify", "maps", "--only", "psi2", "--trials", "{}"],
+    ["lattice", "cm", "--po", "{}"],
+    HGSUM + ["--p", "3", "--n", "2", "--t", "{}"],
+    ["curve", "count", "--p", "7", "--n", "2", "--a2", "{}", "--a4", "1", "--a6", "0"],
+], ids=["p", "q", "pmax", "trials", "po", "hgsum-t", "curve-a2"])
+def test_number_outside_the_grammar_exits_2(argv, text, capsys):
+    code, out = run_to_exit([text if arg == "{}" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert sum("error: " in line for line in err.splitlines()) == 1
+
+
+# the digest of each plain command's stdout at the parent of the one-grammar change
+# (field-info --p 13, verify bcm --q 7,9, ...); every other form reads the same numbers
+@pytest.mark.parametrize("argv, digest", [
+    (["field-info", "--p", text],
+     "f862a665d1b639c12eac8bd1861498ed61603009b58d4133a03280385c895ba7")
+    for text in ("13", "+13", " 13 ")
+] + [
+    (["verify", "bcm", "--q", text, "--t", "2"],
+     "95ef254c8dc6fdaf48e4a1551605fc0ab4b07c581fe8fbdb640e3f533d22f99b")
+    for text in ("7,9", "7,,9", " 7 , 9 ,")
+] + [
+    (["curve", "count", "--p", "7", "--a2", text, "--a4", "3", "--a6", "0"],
+     "78295fa5db7a69c9a336316b56f36350094353da08d75d143d5d639dcfca2aa0")
+    for text in ("-3", " -3 ", "4", "[-3]")
+] + [
+    (["curve", "count", "--p", "7", "--n", "2", "--a2", text, "--a4", "-3", "--a6", "0"],
+     "6040c9fca5886d4d98190b9d6f5f603e17a6afaf026427d8781117c74a287884")
+    for text in ("[2,1]", " [ 2 , +1 ] ", "[2,,1]", "[-5,8]")
+] + [
+    (["lattice", "cm", "--pg3", "+1", "--po", " 2 "],
+     "968dce654b035ae57102d4fc51846e938f581d49d092e98938dd57bdc7f12c5d"),
+    (["cm", "survey", "--t", "1", "--pmax", "+13"],
+     "3d2bf68b1d2782998d4ab2497d0abc1bb98d61175fb77061831a5603585b4265"),
+    (["verify", "maps", "--only", "psi2", "--trials", " 3", "--seed", "-3"],
+     "fd0f649a7f8304c41e35add1a638450c325d5dc7f232e76f2cfc0a5af70a0b96"),
+    (["verify", "main", "--pmin", "+5", "--pmax", "13 ", "--t", "2"],
+     "8016b33252a5164a0a3eaa419c778621638e72880010a88cfc8e8c27008ac502"),
+])
+def test_accepted_number_forms_are_pinned(argv, digest):
+    code, out = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
